@@ -2,8 +2,7 @@
 
 Commands: check, flags, verify, corpus.  Reports go to stdout as JSON with a
 deterministic layout; exit codes encode the verdict (0 relcr, 1 not relcr,
-2 inconclusive, >= 3 errors).  RELCR_THREADS caps the worker count used by
-the enumeration tier.
+2 inconclusive, >= 3 errors).
 """
 
 from __future__ import annotations
@@ -13,19 +12,11 @@ import json
 import sys
 
 from . import jsonio
-from .flags import Flag, GroupH
-from .structcr import (
-    BilinForm,
-    GLUSplit,
-    build_pool,
-    form_adjoint,
-    relcr_classical,
-    relcr_glu,
-    verify_certificate,
-)
+from .flags import GroupH
+from .kinds import KINDS
+from .structcr import build_pool, form_adjoint, verify_certificate
 from .toruscr import (
     InternalInconsistencyError,
-    TorusK,
     enumerate_flag_types,
     flag_of_type,
     minimal_flags,
@@ -33,6 +24,7 @@ from .toruscr import (
     relcr_torus_definition,
     relcr_torus_levi,
     relcr_torus_minimal,
+    weight_classes,
 )
 
 EXIT_RELCR = 0
@@ -58,29 +50,12 @@ def _parse_k(data, ambient_dim: int):
     if not isinstance(data, dict) or "kind" not in data:
         raise ScenarioError("k must be an object with a 'kind' tag")
     kind = data["kind"]
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ScenarioError(f"unknown K kind {kind!r}")
     try:
-        if kind == "torus":
-            return kind, TorusK.of(ambient_dim, data["lattice_basis"])
-        if kind == "glu":
-            return kind, GLUSplit(
-                ambient_dim,
-                jsonio.subspace_from_json(data["U"], ambient_dim),
-                jsonio.subspace_from_json(data["Utilde"], ambient_dim),
-            )
-        if kind == "classical":
-            form = data["form"]
-            return kind, BilinForm(
-                ambient_dim, jsonio.matrix_from_json(form["gram"]), form["kind"]
-            )
-        if kind == "g2":
-            from .g2model import g2_data, load_fixture
-
-            if ambient_dim != 7:
-                raise ScenarioError("the g2 tier needs ambient dimension 7")
-            return kind, (load_fixture(data["fixture"]) if "fixture" in data else g2_data())
+        return kind, KINDS[kind].parse(data, ambient_dim)
     except (KeyError, ValueError, TypeError) as exc:
         raise ScenarioError(f"invalid K payload: {exc}") from exc
-    raise ScenarioError(f"unknown K kind {kind!r}")
 
 
 def _parse_scenario(data):
@@ -128,63 +103,52 @@ def cmd_check(args) -> int:
     user_seeds = [jsonio.vector_from_json(v) for v in options.get("seeds", [])]
     if args.seeds:
         user_seeds.extend(jsonio.vector_from_json(v) for v in _load_json(args.seeds))
-    if kind == "torus":
-        methods = {
-            "definition": relcr_torus_definition,
-            "minimal": relcr_torus_minimal,
-            "levi": relcr_torus_levi,
-        }
-        if mode in methods:
-            v = methods[mode](h, k)
-            report = {"kind": "torus", **_torus_verdict_json(v)}
-            verdict_bool = v.relcr
-        elif mode in ("auto", "crosscheck"):
-            rep = relcr_torus_crosscheck(h, k)
-            report = {
-                "kind": "torus",
-                "verdict": rep.verdict_str,
-                "method": "crosscheck",
-                "reports": [_torus_verdict_json(v) for v in rep.verdicts],
-            }
-            verdict_bool = rep.relcr
-        else:
-            raise ScenarioError(f"unsupported mode {mode!r} for torus K")
-        _emit(report, args.json_indent)
-        return EXIT_RELCR if verdict_bool else EXIT_NOT_RELCR
+    spec = KINDS[kind]
+    if spec.check is None:
+        return _check_torus(h, k, mode, args.json_indent)
     if mode not in ("auto",):
         raise ScenarioError(f"unsupported mode {mode!r} for K kind {kind!r}")
-    if kind == "glu":
-        pool = build_pool(h, cap=pool_cap, user_seeds=user_seeds)
-        verdict = relcr_glu(h, k, pool)
-    elif kind == "classical":
-        adj = tuple(form_adjoint(g, k) for g in h.generators)
-        pool = build_pool(h, extra_gens=adj, cap=pool_cap, user_seeds=user_seeds)
-        verdict = relcr_classical(h, k, pool, elim_dim_cap=elim_cap)
-    else:  # g2
-        from .g2model import relcr_g2
-
-        adj = tuple(form_adjoint(g, k.bilinear) for g in h.generators)
-        pool = build_pool(h, extra_gens=adj, cap=pool_cap, user_seeds=user_seeds)
-        verdict = relcr_g2(h, k, pool, elim_dim_cap=elim_cap)
+    adj = () if spec.form is None else tuple(form_adjoint(g, spec.form(k)) for g in h.generators)
+    pool = build_pool(h, extra_gens=adj, cap=pool_cap, user_seeds=user_seeds)
+    verdict = spec.check(h, k, pool, elim_cap)
     _emit(_tri_verdict_json(kind, verdict), args.json_indent)
     return verdict.exit_style
+
+
+def _check_torus(h, k, mode, indent) -> int:
+    methods = {
+        "definition": relcr_torus_definition,
+        "minimal": relcr_torus_minimal,
+        "levi": relcr_torus_levi,
+    }
+    if mode in methods:
+        v = methods[mode](h, k)
+        report = {"kind": "torus", **_torus_verdict_json(v)}
+        verdict_bool = v.relcr
+    elif mode in ("auto", "crosscheck"):
+        rep = relcr_torus_crosscheck(h, k)
+        report = {
+            "kind": "torus",
+            "verdict": rep.verdict_str,
+            "method": "crosscheck",
+            "reports": [_torus_verdict_json(v) for v in rep.verdicts],
+        }
+        verdict_bool = rep.relcr
+    else:
+        raise ScenarioError(f"unsupported mode {mode!r} for torus K")
+    _emit(report, indent)
+    return EXIT_RELCR if verdict_bool else EXIT_NOT_RELCR
 
 
 def cmd_flags(args) -> int:
     data = _load_json(args.kfile)
     kind = data.get("kind", "torus")
-    if kind == "torus":
-        k = TorusK.of(int(data["ambient_dim"]), data["lattice_basis"])
-    elif kind == "g2":
-        from .g2model import g2_data
-
-        k = g2_data().torus
-    else:
+    spec = KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None or spec.flag_torus is None:
         raise ScenarioError(f"flag enumeration supports torus and g2 K, not {kind!r}")
+    k = spec.flag_torus(data)
     listing = minimal_flags(k) if args.minimal else enumerate_flag_types(k)
     minimal_set = {ft.ordered_blocks for ft, _ in minimal_flags(k)}
-    from .toruscr import weight_classes
-
     classes = weight_classes(k)
     types = []
     for ft, wit in listing:
@@ -252,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="relcr",
         description="Decide relative complete reducibility of matrix groups "
         "with respect to tori, GL(U), Sp/SO and the G2 module, in exact "
-        "rational arithmetic.  RELCR_THREADS caps enumeration workers.",
+        "rational arithmetic.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -18,23 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exactlin import RatMatrix, Subspace, ZERO, kernel_basis, rat, rat_str, subspace_contains, subspace_intersect, subspace_sum
 from .flags import Flag, GroupH, subspace_is_stable
 from .structcr import (
-    INCONCLUSIVE,
-    NOT_RELCR_WITNESSED,
-    RELCR_WITNESSED,
     BilinForm,
+    FormFamily,
     SubspacePool,
     TriVerdict,
-    _family_payload,
-    _poly_payload,
-    adjoint_extended,
-    enumerate_poly_solutions,
+    graph_quadratics,
+    isotropy_polys,
     perp,
-    stable_complements,
+    relcr_form_family,
 )
 from .toruscr import TorusK
 from . import jsonio
@@ -329,45 +325,12 @@ def _doubly_singular_polys(fam, d: G2Data):
     """Constraints on the family parameters making the graph subspace doubly
     singular: bilinear vanishing plus (for planes) trilinear vanishing against
     every basis vector; all quadratic in the parameters."""
-    consts, dirs = fam.symbolic_rows()
-    npar = len(dirs)
-    q = len(consts)
-    polys = []
-
-    def vec(idx, which):
-        return consts[which] if idx == 0 else dirs[idx - 1][which]
-
-    def quad(valfn):
-        poly = {}
-        for a in range(npar + 1):
-            for c in range(npar + 1):
-                val = valfn(a, c)
-                if not val:
-                    continue
-                expo = [0] * npar
-                if a:
-                    expo[a - 1] += 1
-                if c:
-                    expo[c - 1] += 1
-                key = tuple(expo)
-                s = poly.get(key, ZERO) + val
-                if s:
-                    poly[key] = s
-                else:
-                    poly.pop(key, None)
-        return poly
-
-    for i in range(q):
-        for j in range(i, q):
-            p = quad(lambda a, c: d.bilinear.pair(vec(a, i), vec(c, j)))
-            if p:
-                polys.append(p)
-    if q == 2:
-        for k in range(7):
-            ek = [Fraction(1 if t == k else 0) for t in range(7)]
-            p = quad(lambda a, c: d.tri_value(vec(a, 0), vec(c, 1), ek))
-            if p:
-                polys.append(p)
+    polys = isotropy_polys(fam, d.bilinear)
+    if len(fam.comp_rows) == 2:
+        units = [[Fraction(1 if t == k else 0) for t in range(7)] for k in range(7)]
+        polys += graph_quadratics(
+            fam, [(0, 1, lambda x, y, ek=ek: d.tri_value(x, y, ek)) for ek in units]
+        )
     return polys
 
 
@@ -388,7 +351,9 @@ def g2_candidates(h: GroupH, d: G2Data, pool: SubspacePool) -> list:
     return out
 
 
-def _check_g2_witness(u: Subspace, w: Subspace, h: GroupH, d: G2Data) -> Optional[dict]:
+def _check_g2_witness(
+    u: Subspace, uperp: Subspace, w: Subspace, h: GroupH, d: G2Data
+) -> Optional[dict]:
     """Full Theorem-A.1 conditions for a candidate witness W; None if any
     check fails, else the check record."""
     n = 7
@@ -398,7 +363,6 @@ def _check_g2_witness(u: Subspace, w: Subspace, h: GroupH, d: G2Data) -> Optiona
     wflag = g2_minimal_flag(w, d)
     if not all(subspace_is_stable(m, h) for m in wflag.chain):
         return None
-    uperp = perp(u, b)
     wperp = perp(w, b)
     checks = {
         "w_doubly_singular": True,
@@ -429,76 +393,5 @@ def relcr_g2(h: GroupH, d: G2Data, pool: SubspacePool, elim_dim_cap: int = 2) ->
     direct sums.  Refutations require exact exhaustion of the W search."""
     if h.ambient_dim != 7:
         raise ValueError("the G2 module lives on Q^7")
-    h_ext = adjoint_extended(h, d.bilinear)
-    entries = []
-    refuted = False
-    inconclusive_reason = None
-    for u in g2_candidates(h, d, pool):
-        uperp = perp(u, d.bilinear)
-        entry = {"u": jsonio.subspace_to_json(u), "u_dim": u.dim}
-        fam = stable_complements(uperp, h_ext)
-        if fam.is_empty:
-            entry["proof"] = {"kind": "affine_empty", "family": _family_payload(fam)}
-            entries.append(entry)
-            refuted = True
-            continue
-        if fam.dimension > elim_dim_cap:
-            entry["inconclusive"] = (
-                f"affine family dimension {fam.dimension} exceeds elimination cap {elim_dim_cap}"
-            )
-            entry["family"] = _family_payload(fam)
-            entries.append(entry)
-            if inconclusive_reason is None:
-                inconclusive_reason = entry["inconclusive"]
-            continue
-        polys = _doubly_singular_polys(fam, d)
-        status, payload, note = enumerate_poly_solutions(polys, fam.dimension)
-        if status == "empty":
-            entry["proof"] = {
-                "kind": "quadratic_elimination",
-                "family": _family_payload(fam),
-                "system": _poly_payload(polys),
-                "emptiness": payload,
-            }
-            entries.append(entry)
-            refuted = True
-            continue
-        winner = None
-        failures = []
-        for point in payload:
-            w = fam.subspace_at(point)
-            checks = _check_g2_witness(u, w, h, d)
-            if checks is not None:
-                winner = (point, w, checks)
-                break
-            failures.append(jsonio.subspace_to_json(w))
-        if winner is not None:
-            point, w, checks = winner
-            entry.update(
-                {
-                    "w": jsonio.subspace_to_json(w),
-                    "family": _family_payload(fam),
-                    "checks": checks,
-                }
-            )
-            entries.append(entry)
-        elif status == "all":
-            entry["proof"] = {
-                "kind": "finite_candidates_exhausted",
-                "family": _family_payload(fam),
-                "system": _poly_payload(polys),
-                "rejected": failures,
-            }
-            entries.append(entry)
-            refuted = True
-        else:
-            entry["inconclusive"] = note or "sampled family without a qualifying member"
-            entry["family"] = _family_payload(fam)
-            entries.append(entry)
-            if inconclusive_reason is None:
-                inconclusive_reason = entry["inconclusive"]
-    if refuted:
-        return TriVerdict(NOT_RELCR_WITNESSED, tuple(entries), None, pool.closed)
-    if inconclusive_reason is not None:
-        return TriVerdict(INCONCLUSIVE, tuple(entries), inconclusive_reason, pool.closed)
-    return TriVerdict(RELCR_WITNESSED, tuple(entries), None, pool.closed)
+    family = FormFamily(g2_candidates, _doubly_singular_polys, _check_g2_witness, None)
+    return relcr_form_family(family, h, d, d.bilinear, pool, elim_dim_cap)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .exactlin import (
     AffineSolution,
@@ -374,46 +374,6 @@ def stable_complements(
 # small multivariate polynomials over Q (for the quadratic witness searches)
 
 
-def poly_zero():
-    return {}
-
-
-def poly_const(c, nvars):
-    c = Fraction(c)
-    return {(0,) * nvars: c} if c else {}
-
-
-def poly_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, ZERO) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def poly_scale(a, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
-def poly_mul(a, b):
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            s = out.get(k, ZERO) + va * vb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
 def poly_eval(a, point):
     total = ZERO
     for k, v in a.items():
@@ -538,7 +498,7 @@ def _poly_matrix_det(rows):
 # rational solvability of small polynomial systems -------------------------
 
 
-def enumerate_poly_solutions(polys, nvars, sample_range=6):
+def enumerate_poly_solutions(polys, nvars):
     """Rational solutions of a system of polynomials in <= 2 variables.
 
     Returns a triple (status, payload, note):
@@ -571,14 +531,14 @@ def enumerate_poly_solutions(polys, nvars, sample_range=6):
             return "empty", payload, "univariate analysis"
         return "all", payload, ""
     if nvars == 2:
-        return _enumerate_bivariate(live, sample_range)
+        return _enumerate_bivariate(live)
     return "some", [], f"{nvars} parameters exceed the elimination machinery"
 
 
-def solve_poly_system(polys, nvars, sample_range=6):
+def solve_poly_system(polys, nvars):
     """Decide rational solvability of a system in <= 2 variables: returns
     ("solution", point), ("empty", proof) or ("inconclusive", reason)."""
-    status, payload, note = enumerate_poly_solutions(polys, nvars, sample_range)
+    status, payload, note = enumerate_poly_solutions(polys, nvars)
     if status == "empty":
         return "empty", payload
     if payload:
@@ -622,11 +582,13 @@ def _solve_univariate_system(live):
     }
 
 
-def _fibre_samples(sample_range):
-    return [ZERO] + [x for i in range(1, 3) for x in (Fraction(i), Fraction(-i))]
+# sample values for a parameter that elimination leaves free: 0, 1, -1, ...,
+# 6, -6; a free fibre is sampled at the first five
+_SAMPLE_VALUES = (ZERO,) + tuple(Fraction(s * i) for i in range(1, 7) for s in (1, -1))
+_FIBRE_SAMPLES = _SAMPLE_VALUES[:5]
 
 
-def _enumerate_bivariate(live, sample_range):
+def _enumerate_bivariate(live):
     only_t1 = [p for p in live if poly_degree_in(p, 1) <= 0]
     mixed = [p for p in live if poly_degree_in(p, 1) > 0]
     if not mixed:
@@ -634,10 +596,10 @@ def _enumerate_bivariate(live, sample_range):
         status, payload = _solve_univariate_system(squeezed)
         if status == "empty":
             return "empty", payload, "first coordinate obstructed"
-        pts = [(t1[0], s) for t1 in payload for s in _fibre_samples(sample_range)]
+        pts = [(t1[0], s) for t1 in payload for s in _FIBRE_SAMPLES]
         return "some", pts, "second coordinate unconstrained"
     if len(live) == 1:
-        return _sample_single_bivariate(live[0], sample_range)
+        return _sample_single_bivariate(live[0])
     eliminated = [poly_to_univariate({(k[0],): v for k, v in p.items()}) for p in only_t1]
     for i in range(len(mixed)):
         for j in range(i + 1, len(mixed)):
@@ -647,10 +609,10 @@ def _enumerate_bivariate(live, sample_range):
         # all resultants vanish identically (shared factor): sample for
         # solutions, but never conclude emptiness this way
         pts = []
-        for t1 in _sample_values(sample_range):
+        for t1 in _SAMPLE_VALUES:
             subs = [q for q in (poly_substitute(p, 0, t1) for p in live) if q]
             if not subs:
-                pts.extend((t1, s) for s in _fibre_samples(sample_range))
+                pts.extend((t1, s) for s in _FIBRE_SAMPLES)
                 continue
             status, payload = _solve_univariate_system(subs)
             if status == "all":
@@ -666,7 +628,7 @@ def _enumerate_bivariate(live, sample_range):
         subs = [q for q in (poly_substitute(p, 0, t1) for p in live) if q]
         if not subs:
             complete = False  # a whole fibre of solutions
-            pts.extend((t1, s) for s in _fibre_samples(sample_range))
+            pts.extend((t1, s) for s in _FIBRE_SAMPLES)
             continue
         status, payload = _solve_univariate_system(subs)
         if status == "all":
@@ -687,36 +649,29 @@ def _enumerate_bivariate(live, sample_range):
     )
 
 
-def _sample_single_bivariate(p, sample_range):
+def _sample_single_bivariate(p):
     pts = []
     d2 = poly_degree_in(p, 1)
-    for t1 in _sample_values(sample_range):
+    for t1 in _SAMPLE_VALUES:
         q = poly_substitute(p, 0, t1)
         if not q:
-            pts.extend((t1, s) for s in _fibre_samples(sample_range))
+            pts.extend((t1, s) for s in _FIBRE_SAMPLES)
             continue
         if poly_degree_total(q) == 0:
             continue
         for r in rational_roots(poly_to_univariate(q)):
             pts.append((t1, r))
     if not pts and d2 > 0:
-        for t2 in _sample_values(sample_range):
+        for t2 in _SAMPLE_VALUES:
             q = poly_substitute(p, 1, t2)
             if not q:
-                pts.extend((s, t2) for s in _fibre_samples(sample_range))
+                pts.extend((s, t2) for s in _FIBRE_SAMPLES)
                 continue
             if poly_degree_total(q) == 0:
                 continue
             for r in rational_roots(poly_to_univariate(q)):
                 pts.append((r, t2))
     return "some", pts, "single plane curve sampled" if not pts else ""
-
-
-def _sample_values(sample_range):
-    yield ZERO
-    for i in range(1, sample_range + 1):
-        yield Fraction(i)
-        yield Fraction(-i)
 
 
 # independent re-verification of emptiness proofs ---------------------------
@@ -825,6 +780,17 @@ class TriVerdict:
         return {RELCR_WITNESSED: 0, NOT_RELCR_WITNESSED: 1, INCONCLUSIVE: 2}[self.value]
 
 
+def _verdict(entries, pool: SubspacePool) -> TriVerdict:
+    """Any entry carrying an exact proof refutes; otherwise the first entry
+    whose search stopped short makes the verdict inconclusive."""
+    entries = tuple(entries)
+    if any("proof" in e for e in entries):
+        return TriVerdict(NOT_RELCR_WITNESSED, entries, None, pool.closed)
+    reason = next((e["inconclusive"] for e in entries if "inconclusive" in e), None)
+    value = RELCR_WITNESSED if reason is None else INCONCLUSIVE
+    return TriVerdict(value, entries, reason, pool.closed)
+
+
 def _family_payload(fam: ComplementFamily) -> dict:
     if fam.is_empty:
         return {
@@ -868,6 +834,10 @@ def glu_members(split: GLUSplit, pool: SubspacePool) -> list:
     return out
 
 
+def glu_flag_in_fk(f: Flag, split: GLUSplit) -> bool:
+    return all(subspace_contains(split.U, s) or subspace_contains(s, split.Utilde) for s in f.chain)
+
+
 def relcr_glu(h: GroupH, split: GLUSplit, pool: SubspacePool) -> TriVerdict:
     """Complement-existence criterion for K = GL(U): every H-stable member of
     S_K must admit an H-stable complement inside S_K.  Refutations (both
@@ -875,7 +845,6 @@ def relcr_glu(h: GroupH, split: GLUSplit, pool: SubspacePool) -> TriVerdict:
     if h.ambient_dim != split.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     entries = []
-    refutation = None
     for cand in glu_members(split, pool):
         if not subspace_is_stable(cand, h):
             continue
@@ -885,39 +854,26 @@ def relcr_glu(h: GroupH, split: GLUSplit, pool: SubspacePool) -> TriVerdict:
             "candidate": jsonio.subspace_to_json(cand),
             "candidate_dim": cand.dim,
         }
-        found = None
+        entries.append(entry)
         for side, fam in (("containing_utilde", fam_sup), ("inside_u", fam_sub)):
             if not fam.is_empty:
                 w = fam.particular_subspace()
                 _assert_glu_witness(cand, w, h, split)
-                found = (side, w, fam)
-                break
-        if found:
-            side, w, fam = found
-            entry.update(
-                {
-                    "complement": jsonio.subspace_to_json(w),
-                    "side": side,
-                    "family": _family_payload(fam),
-                }
-            )
-            entries.append(entry)
-        else:
-            entry.update(
-                {
-                    "proof": {
-                        "kind": "affine_empty_both_sides",
-                        "containing_utilde": _family_payload(fam_sup),
-                        "inside_u": _family_payload(fam_sub),
+                entry.update(
+                    {
+                        "complement": jsonio.subspace_to_json(w),
+                        "side": side,
+                        "family": _family_payload(fam),
                     }
-                }
-            )
-            entries.append(entry)
-            if refutation is None:
-                refutation = entry
-    if refutation is not None:
-        return TriVerdict(NOT_RELCR_WITNESSED, tuple(entries), None, pool.closed)
-    return TriVerdict(RELCR_WITNESSED, tuple(entries), None, pool.closed)
+                )
+                break
+        else:
+            entry["proof"] = {
+                "kind": "affine_empty_both_sides",
+                "containing_utilde": _family_payload(fam_sup),
+                "inside_u": _family_payload(fam_sub),
+            }
+    return _verdict(entries, pool)
 
 
 def _assert_glu_witness(cand: Subspace, w: Subspace, h: GroupH, split: GLUSplit):
@@ -933,6 +889,128 @@ def _assert_glu_witness(cand: Subspace, w: Subspace, h: GroupH, split: GLUSplit)
 
 
 # ---------------------------------------------------------------------------
+# form-preserving K: one driver for Sp(V), SO(V) and G2 (see g2model)
+
+
+@dataclass(frozen=True)
+class FormFamily:
+    """What one form-preserving K plugs into relcr_form_family; every
+    callable takes the K data k last."""
+
+    candidates: Callable  # (h, k, pool) -> the members U that need a partner
+    polys: Callable  # (family, k) -> polynomials whose rational zeros are the valid W
+    witness: Callable  # (u, uperp, w, h, k) -> check record, or None to reject w
+    system_key: Optional[str]  # report key for the system next to a witness, if any
+
+
+def relcr_form_family(
+    family: FormFamily,
+    h: GroupH,
+    k,
+    b: BilinForm,
+    pool: SubspacePool,
+    elim_dim_cap: int = 2,
+) -> TriVerdict:
+    """Pool-based criterion for a K preserving the form b: every candidate U
+    needs a partner W with V = W + U^perp.  The W search space, the
+    complements of U^perp stable under the generators and their b-adjoints,
+    is exactly the set of H-stable W with H-stable annihilator; the family's
+    polynomials cut the valid W out of it.  An exactly exhausted search
+    refutes relative complete reducibility unconditionally."""
+    if h.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    h_ext = adjoint_extended(h, b)
+    entries = [
+        _form_family_entry(family, u, perp(u, b), h, h_ext, k, elim_dim_cap)
+        for u in family.candidates(h, k, pool)
+    ]
+    return _verdict(entries, pool)
+
+
+def _form_family_entry(family, u, uperp, h, h_ext, k, elim_dim_cap) -> dict:
+    """The report entry for one candidate U: a witness W, an exact proof that
+    none exists ("proof"), or why the search stopped short ("inconclusive")."""
+    entry = {"u": jsonio.subspace_to_json(u), "u_dim": u.dim}
+    fam = stable_complements(uperp, h_ext)
+    if fam.is_empty:
+        entry["proof"] = {"kind": "affine_empty", "family": _family_payload(fam)}
+        return entry
+    if fam.dimension > elim_dim_cap:
+        entry["inconclusive"] = (
+            f"affine family dimension {fam.dimension} exceeds elimination cap {elim_dim_cap}"
+        )
+        entry["family"] = _family_payload(fam)
+        return entry
+    polys = family.polys(fam, k)
+    status, points, note = enumerate_poly_solutions(polys, fam.dimension)
+    if status == "empty":
+        entry["proof"] = {
+            "kind": "quadratic_elimination",
+            "family": _family_payload(fam),
+            "system": _poly_payload(polys),
+            "emptiness": points,
+        }
+        return entry
+    rejected = []
+    for point in points:
+        w = fam.subspace_at(point)
+        checks = family.witness(u, uperp, w, h, k)
+        if checks is None:
+            rejected.append(jsonio.subspace_to_json(w))
+            continue
+        entry["w"] = jsonio.subspace_to_json(w)
+        entry["family"] = _family_payload(fam)
+        if family.system_key:
+            entry[family.system_key] = _poly_payload(polys)
+        entry["checks"] = checks
+        return entry
+    if status == "all":
+        entry["proof"] = {
+            "kind": "finite_candidates_exhausted",
+            "family": _family_payload(fam),
+            "system": _poly_payload(polys),
+            "rejected": rejected,
+        }
+        return entry
+    entry["inconclusive"] = note or "sampled family without a qualifying member"
+    entry["family"] = _family_payload(fam)
+    return entry
+
+
+def graph_quadratics(fam: ComplementFamily, conditions) -> list:
+    """The nonzero polynomials f(x_i(t), x_j(t)) in the family parameters t,
+    one per (i, j, f) in conditions, where x_i(t) is the i-th basis vector of
+    the graph subspace at t and f is bilinear, so each is at most quadratic."""
+    consts, dirs = fam.symbolic_rows()
+    d = len(dirs)
+
+    def vec(idx, which):
+        return consts[which] if idx == 0 else dirs[idx - 1][which]
+
+    polys = []
+    for i, j, f in conditions:
+        poly = {}
+        for a in range(d + 1):
+            for c in range(d + 1):
+                val = f(vec(a, i), vec(c, j))
+                if not val:
+                    continue
+                expo = [0] * d
+                if a:
+                    expo[a - 1] += 1
+                if c:
+                    expo[c - 1] += 1
+                key = tuple(expo)
+                s = poly.get(key, ZERO) + val
+                if s:
+                    poly[key] = s
+                else:
+                    poly.pop(key, None)
+        if poly:
+            polys.append(poly)
+    return polys
+
+
 # K = Sp(V) or SO(V)
 
 
@@ -951,41 +1029,21 @@ def classical_candidates(h: GroupH, b: BilinForm, pool: SubspacePool) -> list:
     return out
 
 
+def classical_flag_in_fk(f: Flag, b: BilinForm) -> bool:
+    """F_K for Sp/SO: chains whose j-th member annihilates the j-th from the end."""
+    m = f.length
+    return all(perp(f.chain[j], b) == f.chain[m - 1 - j] for j in range(m))
+
+
 def isotropy_polys(fam: ComplementFamily, b: BilinForm) -> list:
     """Quadratic conditions on the family parameters making the graph
-    subspace totally isotropic."""
-    consts, dirs = fam.symbolic_rows()
-    d = len(dirs)
-    q = len(consts)
-    polys = []
-    for i in range(q):
-        for j in range(i, q):
-            if i == j and b.kind == "symplectic":
-                continue
-            poly = {}
-
-            def vec(idx, which):
-                return consts[which] if idx == 0 else dirs[idx - 1][which]
-
-            for a in range(d + 1):
-                for c in range(d + 1):
-                    val = b.pair(vec(a, i), vec(c, j))
-                    if not val:
-                        continue
-                    expo = [0] * d
-                    if a:
-                        expo[a - 1] += 1
-                    if c:
-                        expo[c - 1] += 1
-                    key = tuple(expo)
-                    s = poly.get(key, ZERO) + val
-                    if s:
-                        poly[key] = s
-                    else:
-                        poly.pop(key, None)
-            if poly:
-                polys.append(poly)
-    return polys
+    subspace totally isotropic; a vector against itself is automatic for an
+    alternating form."""
+    q = len(fam.comp_rows)
+    return graph_quadratics(
+        fam,
+        [(i, j, b.pair) for i in range(q) for j in range(i, q) if i != j or b.kind != "symplectic"],
+    )
 
 
 def _isotropic_flag(u: Subspace, uperp: Subspace) -> Flag:
@@ -1002,69 +1060,11 @@ def relcr_classical(
 ) -> TriVerdict:
     """Cor-style criterion for K = Sp(V) / SO(V): for every H-stable totally
     isotropic U with H-stable annihilator, find a totally isotropic W, stable
-    together with its annihilator, with V = W + U^perp = U + W^perp.
-
-    The W search space (complements of U^perp stable under the generators and
-    their form-adjoints) is exactly the set of qualifying W, so an exactly
-    empty search refutes relative complete reducibility unconditionally."""
-    if h.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    h_ext = adjoint_extended(h, b)
-    entries = []
-    refuted = False
-    inconclusive_reason = None
-    for u in classical_candidates(h, b, pool):
-        uperp = perp(u, b)
-        entry = {"u": jsonio.subspace_to_json(u), "u_dim": u.dim}
-        fam = stable_complements(uperp, h_ext)
-        if fam.is_empty:
-            entry["proof"] = {"kind": "affine_empty", "family": _family_payload(fam)}
-            entries.append(entry)
-            refuted = True
-            continue
-        polys = isotropy_polys(fam, b)
-        if fam.dimension > elim_dim_cap:
-            entry["inconclusive"] = (
-                f"affine family dimension {fam.dimension} exceeds elimination cap {elim_dim_cap}"
-            )
-            entry["family"] = _family_payload(fam)
-            entries.append(entry)
-            if inconclusive_reason is None:
-                inconclusive_reason = entry["inconclusive"]
-            continue
-        status, payload = solve_poly_system(polys, fam.dimension)
-        if status == "solution":
-            w = fam.subspace_at(payload)
-            check = _verify_classical_witness(u, uperp, w, h, b)
-            entry.update(
-                {
-                    "w": jsonio.subspace_to_json(w),
-                    "family": _family_payload(fam),
-                    "isotropy_system": _poly_payload(polys),
-                    "checks": check,
-                }
-            )
-            entries.append(entry)
-        elif status == "empty":
-            entry["proof"] = {
-                "kind": "quadratic_elimination",
-                "family": _family_payload(fam),
-                "system": _poly_payload(polys),
-                "emptiness": payload,
-            }
-            entries.append(entry)
-            refuted = True
-        else:
-            entry["inconclusive"] = payload
-            entry["family"] = _family_payload(fam)
-            entries.append(entry)
-            if inconclusive_reason is None:
-                inconclusive_reason = payload
-    if refuted:
-        return TriVerdict(NOT_RELCR_WITNESSED, tuple(entries), None, pool.closed)
-    if inconclusive_reason is not None:
-        return TriVerdict(INCONCLUSIVE, tuple(entries), inconclusive_reason, pool.closed)
-    return TriVerdict(RELCR_WITNESSED, tuple(entries), None, pool.closed)
+    together with its annihilator, with V = W + U^perp = U + W^perp."""
+    family = FormFamily(
+        classical_candidates, isotropy_polys, _verify_classical_witness, "isotropy_system"
+    )
+    return relcr_form_family(family, h, b, b, pool, elim_dim_cap)
 
 
 def _verify_classical_witness(u, uperp, w, h, b) -> dict:
@@ -1165,62 +1165,8 @@ def verify_certificate(h: GroupH, claim, k_kind: str, k_data) -> CertificateRepo
 
 
 def _flag_in_fk(f: Flag, k_kind: str, k_data) -> bool:
-    if k_kind == "torus":
-        return _flag_in_torus_fk(f, k_data)
-    if k_kind == "glu":
-        split = k_data
-        return all(
-            subspace_contains(split.U, s) or subspace_contains(s, split.Utilde) for s in f.chain
-        )
-    if k_kind == "classical":
-        b = k_data
-        m = f.length
-        if m == 0:
-            return True
-        for j in range(m):
-            if perp(f.chain[j], b) != f.chain[m - 1 - j]:
-                return False
-        return True
-    if k_kind == "g2":
-        from .g2model import g2_flag_shape_ok
+    from .kinds import KINDS
 
-        return g2_flag_shape_ok(f, k_data)
-    raise ValueError(f"unknown K kind: {k_kind}")
-
-
-def _flag_in_torus_fk(f: Flag, k) -> bool:
-    from .exactlin import pivot_columns
-    from .toruscr import FlagType, feasible, weight_classes
-
-    classes = weight_classes(k)
-    owner = {}
-    for ci, cls in enumerate(classes):
-        for coord in cls:
-            owner[coord] = ci
-    blocks = []
-    prev: set = set()
-    for s in f.chain:
-        rows = s.vectors()
-        coords = set()
-        for v in rows:
-            nz = [j for j, x in enumerate(v) if x]
-            if len(nz) != 1 or v[nz[0]] != 1:
-                return False  # not a coordinate subspace
-            coords.add(nz[0])
-        step = coords - prev
-        if not step or (prev - coords):
-            return False
-        blocks.append(step)
-        prev = coords
-    blocks.append(set(range(f.ambient_dim)) - prev)
-    class_blocks = []
-    for blk in blocks:
-        cls_ids = {owner[c] for c in blk}
-        if set().union(*(set(classes[ci]) for ci in cls_ids)) != blk:
-            return False  # block is not a union of weight classes
-        class_blocks.append(sorted(cls_ids))
-    try:
-        ft = FlagType.of(class_blocks)
-    except ValueError:
-        return False
-    return feasible(ft, k) is not None
+    if k_kind not in KINDS:
+        raise ValueError(f"unknown K kind: {k_kind}")
+    return KINDS[k_kind].in_fk(f, k_data)

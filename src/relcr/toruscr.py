@@ -10,8 +10,6 @@ criteria which provably must agree.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -323,25 +321,6 @@ def _verify_witness(ft: FlagType, wit: CocharacterWitness, k: TorusK):
         raise InternalInconsistencyError("witness weights not strictly decreasing across blocks")
 
 
-def worker_count() -> int:
-    v = os.environ.get("RELCR_THREADS", "")
-    try:
-        return max(1, int(v)) if v else 1
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map, optionally fanned out over a thread pool; results
-    are deterministic regardless of completion order."""
-    items = list(items)
-    w = worker_count()
-    if w <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(fn, items))
-
-
 def _nonempty_subsets(elems):
     elems = sorted(elems)
     n = len(elems)
@@ -359,8 +338,7 @@ def enumerate_flag_types(k: TorusK, class_bound: int = DEFAULT_CLASS_BOUND) -> t
     Ordered partitions are generated recursively and pruned by exact prefix
     feasibility (every extension of an infeasible prefix is infeasible), so
     only a small neighbourhood of the actual face poset is visited.  The
-    first-block branches are independent and evaluated through the worker
-    pool; the final listing is sorted canonically.
+    final listing is sorted canonically.
     """
     classes = weight_classes(k)
     nc = len(classes)
@@ -383,16 +361,11 @@ def enumerate_flag_types(k: TorusK, class_bound: int = DEFAULT_CLASS_BOUND) -> t
             if _feasibility_witness(k, new_prefix, rest) is not None:
                 extend(new_prefix, rest, acc)
 
-    def branch(first_block):
-        rest = tuple(x for x in all_cls if x not in first_block)
-        acc = []
-        if _feasibility_witness(k, (first_block,), rest) is not None:
-            extend((first_block,), rest, acc)
-        return acc
-
     results = []
-    for part in _parallel_map(branch, list(_nonempty_subsets(all_cls))):
-        results.extend(part)
+    for first_block in _nonempty_subsets(all_cls):
+        rest = tuple(x for x in all_cls if x not in first_block)
+        if _feasibility_witness(k, (first_block,), rest) is not None:
+            extend((first_block,), rest, results)
     results.sort(key=lambda pair: pair[0].ordered_blocks)
     return tuple(results)
 
@@ -445,6 +418,43 @@ def flag_of_type(ft: FlagType, k: TorusK) -> Flag:
             coords.extend(classes[cls])
         chain.append(Subspace.coordinate(n, coords))
     return Flag(n, tuple(chain))
+
+
+def torus_flag_in_fk(f: Flag, k: TorusK) -> bool:
+    """Membership in F_K: a chain of coordinate subspaces whose steps are
+    unions of weight classes, in an order some cocharacter realizes."""
+    classes = weight_classes(k)
+    owner = {}
+    for ci, cls in enumerate(classes):
+        for coord in cls:
+            owner[coord] = ci
+    blocks = []
+    prev: set = set()
+    for s in f.chain:
+        rows = s.vectors()
+        coords = set()
+        for v in rows:
+            nz = [j for j, x in enumerate(v) if x]
+            if len(nz) != 1 or v[nz[0]] != 1:
+                return False  # not a coordinate subspace
+            coords.add(nz[0])
+        step = coords - prev
+        if not step or (prev - coords):
+            return False
+        blocks.append(step)
+        prev = coords
+    blocks.append(set(range(f.ambient_dim)) - prev)
+    class_blocks = []
+    for blk in blocks:
+        cls_ids = {owner[c] for c in blk}
+        if set().union(*(set(classes[ci]) for ci in cls_ids)) != blk:
+            return False  # block is not a union of weight classes
+        class_blocks.append(sorted(cls_ids))
+    try:
+        ft = FlagType.of(class_blocks)
+    except ValueError:
+        return False
+    return feasible(ft, k) is not None
 
 
 @lru_cache(maxsize=8192)
