@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 # Arbitrary-precision rationals.  Fraction already maintains the invariants we
@@ -181,13 +182,17 @@ def _row_reduce(m: list, pivot_limit: int) -> int:
             continue
         if sel != piv_r:
             m[piv_r], m[sel] = m[sel], m[piv_r]
-        inv = ONE / m[piv_r][col]
+        prow = m[piv_r]
+        inv = ONE / prow[col]
         if inv != 1:
-            m[piv_r] = [x * inv for x in m[piv_r]]
+            prow = m[piv_r] = [x * inv if x else x for x in prow]
+        support = [j for j, b in enumerate(prow) if b]
         for i in range(nrows):
             if i != piv_r and m[i][col]:
                 f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[piv_r])]
+                row = m[i]
+                for j in support:
+                    row[j] -= f * prow[j]
         piv_r += 1
         if piv_r == nrows:
             break
@@ -420,58 +425,85 @@ def charpoly(a: RatMatrix) -> list:
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list:
-    """All rational roots of a nonzero polynomial (coefficients low-to-high)."""
+    """All rational roots of a nonzero polynomial (coefficients low-to-high).
+
+    Modular root finding: the square-free part f is scaled to a monic integer
+    h(y) = a^(d-1) f(y/a), a the leading coefficient, whose rational roots are
+    integers; the roots of h modulo a prime at which all of them are simple
+    are Hensel-lifted past twice the Cauchy bound, and the lifts that are
+    exact roots of h give the roots y/a of f."""
     cs = [rat(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
         raise ValueError("zero polynomial has every rational as a root")
     roots = set()
-    shift = 0
     while cs[0] == 0:
         roots.add(ZERO)
         cs = cs[1:]
-        shift += 1
     if len(cs) == 1:
         return sorted(roots)
-    denlcm = 1
-    for c in cs:
-        denlcm = denlcm * c.denominator // _gcd(denlcm, c.denominator)
-    ints = [int(c * denlcm) for c in cs]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                if _poly_eval(cs, cand) == 0:
-                    roots.add(cand)
+    f = _poly_divmod(cs, _poly_gcd(cs, _derivative(cs)))[0]
+    denlcm = lcm(*(c.denominator for c in f))
+    ints = [int(c * denlcm) for c in f]
+    d, a = len(ints) - 1, ints[-1]
+    h = [c * a ** (d - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    dh = _derivative(h)
+    bound = 1 + max(abs(c) for c in h[:-1])
+    p = 2
+    while True:
+        residues = [r for r in range(p) if _poly_eval(h, r) % p == 0]
+        if all(_poly_eval(dh, r) % p for r in residues):
+            break
+        p = _next_prime(p)
+    for r in residues:
+        modulus = p
+        while modulus <= 2 * bound:
+            modulus *= modulus
+            r = (r - _poly_eval(h, r) * pow(_poly_eval(dh, r), -1, modulus)) % modulus
+        y = r - modulus if r > modulus // 2 else r
+        if _poly_eval(h, y) == 0:
+            roots.add(Fraction(y, a))
     return sorted(roots)
 
 
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = ZERO
+def _poly_eval(coeffs: Sequence, x):
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def _gcd(a: int, b: int) -> int:
+def _next_prime(p: int) -> int:
+    q = p + 1
+    while any(q % k == 0 for k in range(2, isqrt(q) + 1)):
+        q += 1
+    return q
+
+
+def _derivative(cs: Sequence) -> list:
+    return [i * c for i, c in enumerate(cs)][1:]
+
+
+def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple:
+    """Quotient and remainder over Q; den has a nonzero leading coefficient."""
+    rem = list(num)
+    quot = [ZERO] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(den) - 1] / den[-1]
+        quot[k] = c
+        if c:
+            for j, b in enumerate(den):
+                rem[k + j] -= c * b
+    rem = rem[: len(den) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
+    """Monic gcd over Q of a nonzero a and any b (trimmed, low-to-high)."""
+    a, b = list(a), list(b)
     while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _divisors(n: int) -> list:
-    n = abs(n)
-    if n == 0:
-        return []
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a]

@@ -16,11 +16,11 @@ from typing import Callable, Optional, Sequence
 
 from .exactlin import (
     AffineSolution,
+    ONE,
     RatMatrix,
     Subspace,
     ZERO,
     charpoly,
-    image_under,
     kernel_basis,
     pivot_columns,
     rational_roots,
@@ -151,15 +151,35 @@ class SubspacePool:
 
 
 def spin(v, acting: Sequence[RatMatrix], n: int) -> Subspace:
-    """Smallest subspace containing v and stable under the acting matrices."""
-    s = Subspace.span(n, [v])
-    while True:
-        nxt = s
+    """Smallest subspace containing v and stable under the acting matrices.
+
+    Incremental spinning: the basis is kept in echelon form, each acting
+    matrix is applied once to each basis vector, and an image joins the basis
+    when it does not reduce to zero against it."""
+    for g in acting:
+        if not g.is_invertible():
+            raise ValueError("matrix is singular")
+    rows, pivots = [], []
+
+    def absorb(w):
+        for p, r in zip(pivots, rows):
+            c = w[p]
+            if c:
+                w = [a - c * b if b else a for a, b in zip(w, r)]
+        p = next((j for j, x in enumerate(w) if x), None)
+        if p is not None:
+            inv = ONE / w[p]
+            rows.append([x * inv if x else x for x in w])
+            pivots.append(p)
+
+    for w in Subspace.span(n, [v]).vectors():  # v checked and scaled; none when v = 0
+        absorb(list(w))
+    done = 0
+    while done < len(rows) < n:
         for g in acting:
-            nxt = subspace_sum(nxt, image_under(g, s))
-        if nxt.dim == s.dim:
-            return s
-        s = nxt
+            absorb(list(g.apply(rows[done])))
+        done += 1
+    return Subspace.span(n, rows)
 
 
 def default_seeds(n: int, acting: Sequence[RatMatrix]) -> list:
@@ -186,7 +206,8 @@ def build_pool(
     construction, stable under the full acting set.  seeds replaces the
     default seed set; user_seeds extends whatever seed set is in force."""
     n = h.ambient_dim
-    acting = list(h.generators) + list(extra_gens)
+    # a generator that is its own form-adjoint acts twice; once is enough
+    acting = list(dict.fromkeys(list(h.generators) + list(extra_gens)))
     replaced = seeds is not None
     if seeds is None:
         seeds = default_seeds(n, acting)
@@ -194,24 +215,30 @@ def build_pool(
     pool.add(Subspace.zero(n), "seed")
     pool.add(Subspace.full(n), "seed")
     spin_tag = "user" if replaced else ("adjoint-stable-solve" if extra_gens else "spin")
-    for v in seeds:
-        vv = tuple(Fraction(x) for x in v)
-        if not any(vv):
-            continue
-        pool.add(spin(vv, acting, n), spin_tag)
-    for v in user_seeds:
-        vv = tuple(Fraction(x) for x in v)
-        if not any(vv):
-            continue
-        pool.add(spin(vv, acting, n), "user")
-    # closure under sum and intersection
+    # spin(c v) = spin(v): each seed line is spun once, at its first seed
+    spun = set()
+    for tag, vs in ((spin_tag, seeds), ("user", user_seeds)):
+        for v in vs:
+            vv = tuple(Fraction(x) for x in v)
+            lead = next((x for x in vv if x), None)
+            if lead is None:
+                continue
+            line = tuple(x / lead for x in vv)
+            if line in spun:
+                continue
+            spun.add(line)
+            pool.add(spin(vv, acting, n), tag)
+    # closure under sum and intersection; when a + b is a, b or a direct sum,
+    # a & b is b, a or 0, which is already a member
     i = 0
     while i < len(pool.members):
         a = pool.members[i]
         for j in range(i):
             b = pool.members[j]
-            pool.add(subspace_sum(a, b), "sum")
-            pool.add(subspace_intersect(a, b), "intersect")
+            s = subspace_sum(a, b)
+            pool.add(s, "sum")
+            if s != a and s != b and s.dim != a.dim + b.dim:
+                pool.add(subspace_intersect(a, b), "intersect")
             if not pool.closed:
                 return pool
         i += 1
@@ -687,9 +714,9 @@ def is_rational_square(x: Fraction) -> bool:
 
 
 def univariate_has_no_rational_root(coeffs) -> bool:
-    """Direct decision, independent of the root-enumeration path: quadratics
-    go through discriminant sign/squareness analysis; other degrees through
-    integer divisor<->root testing."""
+    """Direct decision: quadratics go through discriminant sign/squareness
+    analysis, independent of the root-enumeration path; other degrees through
+    rational_roots."""
     cs = _univ_trim([Fraction(c) for c in coeffs])
     if not cs:
         return False

@@ -90,6 +90,23 @@ def test_check_glu_scenario(tmp_path, capsys):
     assert out["verdict"] == "not_relcr"
 
 
+def test_check_glu_large_height_finishes(tmp_path, capsys):
+    # the charpoly x^2 + 10^18 + 3 has a constant term too large for divisor
+    # trial, which never finished on this 2x2 input
+    import time
+
+    scenario = {
+        "ambient_dim": 2,
+        "h": {"generators": [[["0", "1"], ["-1000000000000000003", "0"]]]},
+        "k": {"kind": "glu", "U": [["1", "0"]], "Utilde": [["0", "1"]]},
+    }
+    path = write(tmp_path, "s.json", scenario)
+    start = time.perf_counter()
+    assert main(["check", path]) == 0
+    assert time.perf_counter() - start < 5
+    assert json.loads(capsys.readouterr().out)["verdict"] == "relcr"
+
+
 def test_check_g2_scenario(tmp_path, capsys):
     from relcr.g2model import torus_element
     from relcr.jsonio import matrix_to_json

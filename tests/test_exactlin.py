@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,101 @@ def test_rational_roots():
     # x^4 - 5/3 x^3 + 1/3 x^2 - 5/3 x - 2/3
     coeffs = [Fraction(-2, 3), Fraction(-5, 3), Fraction(1, 3), Fraction(-5, 3), Fraction(1)]
     assert rational_roots(coeffs) == [Fraction(-1, 3), Fraction(2)]
+
+
+def test_rational_roots_large_height():
+    n = 10**18 + 3
+    assert rational_roots([2 * n, -(n + 2), 1]) == [Fraction(2), Fraction(n)]  # (x - n)(x - 2)
+    assert rational_roots([n, 0, 1]) == []
+
+
+def poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def trial_division_roots(coeffs):
+    """Reference: test every +-p/q with p | a_0 and q | a_n, after clearing
+    denominators and zero roots.  Cost grows like the square root of the
+    coefficients, so it serves small heights only."""
+
+    def divisors(n):
+        n = abs(n)
+        out = []
+        d = 1
+        while d * d <= n:
+            if n % d == 0:
+                out += [d, n // d]
+            d += 1
+        return out
+
+    def value(cs, x):
+        acc = Fraction(0)
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    cs = [Fraction(c) for c in coeffs]
+    while cs[-1] == 0:
+        cs.pop()
+    roots = set()
+    while cs[0] == 0:
+        roots.add(Fraction(0))
+        cs = cs[1:]
+    den = lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            roots.update(x for x in (Fraction(p, q), Fraction(-p, q)) if value(cs, x) == 0)
+    return sorted(roots)
+
+
+@st.composite
+def polys_with_roots(draw, height=4):
+    """(coefficients, built-in roots): a fractional leading coefficient, times
+    linear factors with multiplicities up to 3 (zero allowed), times a cofactor
+    of small integer coefficients; degree at most 8."""
+    lead = draw(st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool))
+    coeffs, roots = [lead], []
+    for r in draw(st.lists(st.fractions(min_value=-height, max_value=height, max_denominator=height), max_size=4)):
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            if len(coeffs) < 9:
+                coeffs = poly_mul(coeffs, [-r, Fraction(1)])
+                roots.append(r)
+    cofactor_deg = draw(st.integers(min_value=0, max_value=9 - len(coeffs)))
+    cofactor = draw(st.lists(st.integers(-9, 9), min_size=cofactor_deg, max_size=cofactor_deg))
+    coeffs = poly_mul(coeffs, [Fraction(c) for c in cofactor] + [Fraction(draw(st.integers(1, 3)))])
+    return coeffs, roots
+
+
+@given(polys_with_roots())
+@settings(max_examples=150, deadline=None)
+def test_rational_roots_matches_trial_division(case):
+    coeffs, roots = case
+    found = rational_roots(coeffs)
+    assert set(roots) <= set(found)
+    assert found == trial_division_roots(coeffs)
+
+
+@given(polys_with_roots(height=1000))
+@settings(max_examples=60, deadline=None)
+def test_rational_roots_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    coeffs, roots = case
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x, domain="QQ")
+    expected = set()
+    for factor, _ in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            c1, c0 = factor.all_coeffs()
+            r = -c0 / c1
+            expected.add(Fraction(int(r.p), int(r.q)))
+    found = rational_roots(coeffs)
+    assert set(roots) <= set(found)
+    assert found == sorted(expected)
 
 
 small_rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -1,15 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcr.corpus import (
     block_diagonal_group,
     coordinate_flag_stabilizer,
     diagonal_matrix,
+    elementary,
     subspace_stabilizer,
     symplectic_transvection,
 )
-from relcr.exactlin import RatMatrix, Subspace
+from relcr.exactlin import RatMatrix, Subspace, image_under, subspace_intersect, subspace_sum
 from relcr.flags import Flag, GroupH, subspace_is_stable
 from relcr.structcr import (
     INCONCLUSIVE,
@@ -17,8 +20,10 @@ from relcr.structcr import (
     RELCR_WITNESSED,
     BilinForm,
     GLUSplit,
+    SubspacePool,
     adjoint_extended,
     build_pool,
+    default_seeds,
     form_adjoint,
     is_totally_isotropic,
     isotropy_polys,
@@ -28,6 +33,7 @@ from relcr.structcr import (
     relcr_glu,
     resultant_in_second_var,
     solve_poly_system,
+    spin,
     stable_complements,
     univariate_has_no_rational_root,
     verify_certificate,
@@ -153,6 +159,129 @@ def test_build_pool_cap():
     pool = build_pool(GroupH.trivial(3), cap=3)
     assert not pool.closed
     assert len(pool.members) <= 3
+
+
+def fixed_point_spin(v, acting, n):
+    """Reference spin: re-image the whole subspace until it stops growing."""
+    s = Subspace.span(n, [v])
+    while True:
+        nxt = s
+        for g in acting:
+            nxt = subspace_sum(nxt, image_under(g, s))
+        if nxt.dim == s.dim:
+            return s
+        s = nxt
+
+
+def reference_pool(h, extra_gens=(), cap=200, user_seeds=()):
+    """build_pool without its shortcuts: every acting matrix as given, every
+    seed spun by the fixed-point reference, every pair intersected."""
+    n = h.ambient_dim
+    acting = list(h.generators) + list(extra_gens)
+    pool = SubspacePool(ambient_dim=n, cap=cap)
+    pool.add(Subspace.zero(n), "seed")
+    pool.add(Subspace.full(n), "seed")
+    tag = "adjoint-stable-solve" if extra_gens else "spin"
+    for t, vs in ((tag, default_seeds(n, acting)), ("user", user_seeds)):
+        for v in vs:
+            if any(v):
+                pool.add(fixed_point_spin(v, acting, n), t)
+    i = 0
+    while i < len(pool.members):
+        for j in range(i):
+            a, b = pool.members[i], pool.members[j]
+            pool.add(subspace_sum(a, b), "sum")
+            pool.add(subspace_intersect(a, b), "intersect")
+            if not pool.closed:
+                return pool
+        i += 1
+    return pool
+
+
+invertible_sets = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+            .map(RatMatrix.from_rows)
+            .filter(lambda g: g.is_invertible()),
+            min_size=1,
+            max_size=3,
+        ),
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any),
+    )
+)
+
+
+@given(invertible_sets)
+@settings(max_examples=80, deadline=None)
+def test_spin_matches_fixed_point(case):
+    n, acting, v = case
+    assert spin(v, acting + acting[:1], n) == fixed_point_spin(v, acting, n)
+
+
+def test_spin_singular_generator_raises():
+    h = GroupH.of(2, [[[1, 1], [0, 1]]])
+    singular = RatMatrix.from_rows([[1, 0], [0, 0]])
+    with pytest.raises(ValueError, match="singular"):
+        build_pool(h, extra_gens=[singular])
+    with pytest.raises(ValueError, match="singular"):
+        spin((1, 0), [singular], 2)
+
+
+def test_spin_seed_inside_earlier_member_is_kept():
+    # e1 lies in spin(e1 + e2) = <e1, e2>, yet spin(e1) = <e1> is a member
+    h = GroupH.of(2, [diagonal_matrix([2, 3])])
+    pool = build_pool(h, seeds=[(1, 1), (1, 0)], cap=3)
+    assert pool.members == [Subspace.zero(2), Subspace.full(2), coord(2, 1)]
+
+
+@pytest.mark.parametrize("cap", [200, 4, 6, 9, 13])
+@pytest.mark.parametrize(
+    "name",
+    ["sp4_flag_stabilizer", "so4_levi", "glu_scaled_user_seeds", "g2_unipotent", "four_general_lines"],
+)
+def test_build_pool_matches_reference(name, cap):
+    from relcr.g2model import g2_data
+
+    if name == "sp4_flag_stabilizer":
+        h = coordinate_flag_stabilizer(4, (0, 2, 2, 4))
+        extra, user = [form_adjoint(g, SPQ4) for g in h.generators], ()
+    elif name == "so4_levi":
+        so4 = BilinForm(4, RatMatrix.from_rows([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]), "orthogonal")
+        h = block_diagonal_group(4, [[0], [1, 2], [3]])
+        extra, user = [form_adjoint(g, so4) for g in h.generators], ()
+    elif name == "glu_scaled_user_seeds":
+        h = GroupH.of(3, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]])
+        extra = ()
+        user = [(1, 0, 1), (2, 0, 2), (0, 1, 1), (Fraction(-1, 2), 0, Fraction(-1, 2)), (0, 3, 3), (0, 0, 5)]
+    elif name == "four_general_lines":
+        # joins and meets of four lines in general position never close up
+        h, extra, user = GroupH.trivial(3), (), [(1, 1, 1)]
+    else:
+        d = g2_data()
+        h = GroupH(7, (elementary(7, 0, 1), elementary(7, 2, 1)))
+        extra, user = [form_adjoint(g, d.bilinear) for g in h.generators], ()
+    got = build_pool(h, extra_gens=extra, cap=cap, user_seeds=user)
+    want = reference_pool(h, extra_gens=extra, cap=cap, user_seeds=user)
+    assert got.members == want.members
+    assert got.provenance == want.provenance
+    assert got.closed == want.closed
+
+
+def test_build_pool_spins_each_seed_line_once(monkeypatch):
+    # the G2 parabolic: 417 default seeds on 7 lines, 66 acting matrices of
+    # which 41 are distinct
+    from relcr import structcr
+    from relcr.g2model import g2_data
+
+    d = g2_data()
+    h = coordinate_flag_stabilizer(7, (1, 1, 2, 2, 2, 3, 3))
+    calls = []
+    real_spin = structcr.spin
+    monkeypatch.setattr(structcr, "spin", lambda *args: calls.append(args) or real_spin(*args))
+    build_pool(h, extra_gens=[form_adjoint(g, d.bilinear) for g in h.generators])
+    assert len(calls) <= 7
 
 
 # ---------------------------------------------------------------------------
