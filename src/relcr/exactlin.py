@@ -1,8 +1,9 @@
 """Exact rational linear algebra: dense matrices, canonical subspaces, affine solving.
 
 Everything is built on :class:`fractions.Fraction`, so all results are exact.
-Subspaces are kept in reduced row echelon form, which makes equality of
-subspaces a plain structural comparison.
+A Subspace holds the reduced row echelon form of the row space of whatever
+basis it is given, which makes equality of subspaces a plain structural
+comparison.
 """
 
 from __future__ import annotations
@@ -98,9 +99,6 @@ class RatMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return RatMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
@@ -202,10 +200,8 @@ def _row_reduce(m: list, pivot_limit: int) -> int:
 def rref(m: RatMatrix) -> tuple:
     """Reduced row echelon form and rank; the shape is preserved."""
     rows = m.row_list()
-    if not rows:
-        return m, 0
     rank = _row_reduce(rows, m.cols)
-    return RatMatrix.from_rows(rows), rank
+    return RatMatrix(m.rows, m.cols, tuple(x for r in rows for x in r)), rank
 
 
 def pivot_columns(m: RatMatrix) -> list:
@@ -238,6 +234,8 @@ def kernel_basis(m: RatMatrix) -> list:
 class Subspace:
     """A subspace of Q^n, held as a canonical RREF basis (rows = vectors).
 
+    The constructor accepts any spanning rows (zero and dependent rows
+    included) and stores the RREF of their row space without its zero rows.
     Canonicity makes equality structural: two Subspace objects are equal as
     dataclasses exactly when they are equal as subspaces.
     """
@@ -246,11 +244,12 @@ class Subspace:
     basis: RatMatrix
 
     def __post_init__(self):
-        if self.basis.cols != self.ambient_dim:
+        n = self.ambient_dim
+        if self.basis.cols != n:
             raise ValueError("basis width must equal ambient dimension")
-        red, rank = rref(self.basis)
-        if rank != self.basis.rows or red != self.basis:
-            raise ValueError("basis must be a reduced row echelon basis without zero rows")
+        rows = self.basis.row_list()
+        rank = _row_reduce(rows, n)
+        object.__setattr__(self, "basis", RatMatrix(rank, n, tuple(x for r in rows[:rank] for x in r)))
 
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -258,10 +257,7 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("vector length must equal ambient dimension")
-        if not rows:
-            return Subspace(ambient_dim, RatMatrix(0, ambient_dim, ()))
-        red, rank = rref(RatMatrix.from_rows(rows))
-        return Subspace(ambient_dim, RatMatrix(rank, ambient_dim, red.entries[: rank * ambient_dim]))
+        return Subspace(ambient_dim, RatMatrix(len(rows), ambient_dim, tuple(x for r in rows for x in r)))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -285,18 +281,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def contains_vector(self, v: Sequence) -> bool:
-        vec = [rat(x) for x in v]
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        rows = self.basis.row_list()
-        pivots = pivot_columns(self.basis)
-        for i, p in enumerate(pivots):
-            if vec[p]:
-                f = vec[p]
-                vec = [a - f * b for a, b in zip(vec, rows[i])]
-        return not any(vec)
-
     def vectors(self) -> list:
         return [self.basis.row(i) for i in range(self.basis.rows)]
 
@@ -308,7 +292,7 @@ def _check_same_ambient(a: Subspace, b: Subspace):
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_same_ambient(a, b)
-    return Subspace.span(a.ambient_dim, list(a.vectors()) + list(b.vectors()))
+    return Subspace(a.ambient_dim, a.basis.stack(b.basis))
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -404,8 +388,7 @@ def image_under(g: RatMatrix, s: Subspace) -> Subspace:
         raise ValueError("shape mismatch")
     if not g.is_invertible():
         raise ValueError("matrix is singular")
-    gt = g.transpose()
-    return Subspace.span(s.ambient_dim, [ (RatMatrix(1, s.ambient_dim, v) * gt).row(0) for v in s.vectors() ])
+    return Subspace(s.ambient_dim, s.basis * g.transpose())
 
 
 def charpoly(a: RatMatrix) -> list:

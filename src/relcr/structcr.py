@@ -96,8 +96,7 @@ def perp(u: Subspace, b: BilinForm) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if u.dim == 0:
         return Subspace.full(u.ambient_dim)
-    rows = RatMatrix.from_rows([list(v) for v in u.vectors()]) * b.gram
-    return Subspace.span(u.ambient_dim, kernel_basis(rows))
+    return Subspace.span(u.ambient_dim, kernel_basis(u.basis * b.gram))
 
 
 def is_totally_isotropic(u: Subspace, b: BilinForm) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .exactlin import RatMatrix, Subspace, ZERO, kernel_basis, pivot_columns, rref
@@ -79,10 +80,6 @@ class FlagType:
         return FlagType(tuple(tuple(sorted(int(i) for i in b)) for b in blocks))
 
     @property
-    def num_blocks(self) -> int:
-        return len(self.ordered_blocks)
-
-    @property
     def is_trivial(self) -> bool:
         return len(self.ordered_blocks) == 1
 
@@ -130,34 +127,31 @@ def flag_from_weights(w: Sequence) -> Flag:
 # Fourier-Motzkin elimination with strictness tracking
 
 
-def _normalize_row(coeffs):
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _igcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for x in ints:
-        g = _igcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+def _primitive(ints) -> tuple:
+    """The integer row divided by the gcd of its entries; a zero row as is."""
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
-def _igcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+def _clear_denominators(rats) -> list:
+    """The rational row times the lcm of its denominators: integers."""
+    den = lcm(*(x.denominator for x in rats))
+    return [x.numerator * (den // x.denominator) for x in rats]
 
 
 def fm_witness(rows) -> Optional[tuple]:
     """Feasibility of {a . t > 0 (strict) / >= 0} by Fourier-Motzkin.
 
     rows: iterable of (coeffs, strict).  Returns an exact rational witness or
-    None when infeasible.  Strictness is tracked through eliminations: a
-    combination is strict iff either parent is.
+    None when infeasible.  Every row is scaled to a primitive integer row, so
+    the eliminations run in integers; only the back-substitution is rational.
+    Strictness is tracked through eliminations: a combination is strict iff
+    either parent is.
     """
-    rows = [( _normalize_row(tuple(Fraction(c) for c in coeffs)), bool(strict)) for coeffs, strict in rows]
+    rows = [
+        (_primitive(_clear_denominators([Fraction(c) for c in coeffs])), bool(strict))
+        for coeffs, strict in rows
+    ]
     if not rows:
         return ()
     nv = len(rows[0][0])
@@ -177,10 +171,8 @@ def fm_witness(rows) -> Optional[tuple]:
         new = list(zero)
         for pc, ps in pos:
             for ncf, ns in neg:
-                comb = tuple(
-                    Fraction(pc[i]) * (-ncf[d - 1]) + Fraction(ncf[i]) * pc[d - 1] for i in range(d - 1)
-                )
-                new.append((_normalize_row(comb), ps or ns))
+                comb = [pc[i] * -ncf[d - 1] + ncf[i] * pc[d - 1] for i in range(d - 1)]
+                new.append((_primitive(comb), ps or ns))
         levels[d - 1] = _dedup(new)
     for coeffs, strict in levels[0]:
         if strict:  # "0 > 0"
@@ -192,12 +184,12 @@ def fm_witness(rows) -> Optional[tuple]:
         upper = None
         for coeffs, strict in levels[d]:
             c = coeffs[d - 1]
-            rest = sum((Fraction(coeffs[i]) * vals[i] for i in range(d - 1)), Fraction(0))
+            rest = sum((coeffs[i] * vals[i] for i in range(d - 1)), Fraction(0))
             if c == 0:
                 if rest < 0 or (strict and rest == 0):
                     raise InternalInconsistencyError("Fourier-Motzkin back-substitution failed")
                 continue
-            bound = -rest / Fraction(c)
+            bound = -rest / c
             if c > 0:
                 if lower is None or bound > lower[0] or (bound == lower[0] and strict):
                     lower = (bound, strict)
@@ -249,31 +241,35 @@ def _class_columns(k: TorusK):
 def _feasibility_witness(k: TorusK, prefix_blocks, remaining) -> Optional[tuple]:
     """A cocharacter c realizing: equal weights within each prefix block,
     strictly decreasing across the prefix, and (if remaining is nonempty)
-    every remaining class strictly below the last block.  None if infeasible."""
+    every remaining class strictly below the last block.  None if infeasible.
+
+    The kernel basis of the block equations is scaled to integers by one
+    common denominator: FM normalises each strict row to the same primitive
+    row, so the point t, and the witness t . basis made primitive, stay put."""
     classes, cols = _class_columns(k)
     r = k.rank
     eq_rows = []
     for block in prefix_blocks:
         base = cols[block[0]]
         for cls in block[1:]:
-            eq_rows.append(tuple(Fraction(a - b) for a, b in zip(cols[cls], base)))
+            eq_rows.append(tuple(a - b for a, b in zip(cols[cls], base)))
     if eq_rows:
-        basis = kernel_basis(RatMatrix.from_rows(eq_rows))
+        rational = kernel_basis(RatMatrix.from_rows(eq_rows))
+        den = lcm(*(x.denominator for bv in rational for x in bv))
+        basis = [[x.numerator * (den // x.denominator) for x in bv] for bv in rational]
     else:
-        basis = [tuple(Fraction(1 if i == j else 0) for j in range(r)) for i in range(r)]
+        basis = [[int(i == j) for j in range(r)] for i in range(r)]
     strict = []
 
     def against(d):
         return tuple(sum(bv[i] * d[i] for i in range(r)) for bv in basis)
 
     for b1, b2 in zip(prefix_blocks, prefix_blocks[1:]):
-        d = tuple(Fraction(a - b) for a, b in zip(cols[b1[0]], cols[b2[0]]))
-        strict.append((against(d), True))
+        strict.append((against([a - b for a, b in zip(cols[b1[0]], cols[b2[0]])]), True))
     if remaining and prefix_blocks:
         last = cols[prefix_blocks[-1][0]]
         for cls in remaining:
-            d = tuple(Fraction(a - b) for a, b in zip(last, cols[cls]))
-            strict.append((against(d), True))
+            strict.append((against([a - b for a, b in zip(last, cols[cls])]), True))
     t = fm_witness(strict)
     if t is None:
         return None
@@ -281,16 +277,7 @@ def _feasibility_witness(k: TorusK, prefix_blocks, remaining) -> Optional[tuple]
     for ti, bv in zip(t, basis):
         if ti:
             c = [a + ti * b for a, b in zip(c, bv)]
-    den = 1
-    for x in c:
-        den = den * x.denominator // _igcd(den, x.denominator)
-    ints = [int(x * den) for x in c]
-    g = 0
-    for x in ints:
-        g = _igcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return _primitive(_clear_denominators(c))
 
 
 def feasible(ft: FlagType, k: TorusK) -> Optional[CocharacterWitness]:
@@ -328,53 +315,49 @@ def _nonempty_subsets(elems):
         yield tuple(elems[i] for i in range(n) if mask & (1 << i))
 
 
-DEFAULT_CLASS_BOUND = 9
+MAX_WEIGHT_CLASSES = 9
 
 
 @lru_cache(maxsize=256)
-def enumerate_flag_types(k: TorusK, class_bound: int = DEFAULT_CLASS_BOUND) -> tuple:
+def enumerate_flag_types(k: TorusK) -> tuple:
     """All feasible flag types of K with witnesses: exactly F_K, finite.
 
     Ordered partitions are generated recursively and pruned by exact prefix
     feasibility (every extension of an infeasible prefix is infeasible), so
-    only a small neighbourhood of the actual face poset is visited.  The
-    final listing is sorted canonically.
+    only a small neighbourhood of the actual face poset is visited.  A
+    complete partition keeps the witness of the check that completed it.
+    The final listing is sorted canonically.
     """
-    classes = weight_classes(k)
-    nc = len(classes)
-    if nc > class_bound:
-        raise ValueError(f"too many weight classes ({nc} > {class_bound})")
-    all_cls = tuple(range(nc))
+    nc = len(weight_classes(k))
+    if nc > MAX_WEIGHT_CLASSES:
+        raise ValueError(f"too many weight classes ({nc} > {MAX_WEIGHT_CLASSES})")
 
     def extend(prefix, remaining, acc):
-        if not remaining:
-            c = _feasibility_witness(k, prefix, ())
-            if c is not None:
-                ft = FlagType(prefix)
-                wit = CocharacterWitness.of(c)
-                _verify_witness(ft, wit, k)
-                acc.append((ft, wit))
-            return
         for block in _nonempty_subsets(remaining):
             rest = tuple(x for x in remaining if x not in block)
             new_prefix = prefix + (block,)
-            if _feasibility_witness(k, new_prefix, rest) is not None:
+            c = _feasibility_witness(k, new_prefix, rest)
+            if c is None:
+                continue
+            if rest:
                 extend(new_prefix, rest, acc)
+            else:
+                ft = FlagType(new_prefix)
+                wit = CocharacterWitness.of(c)
+                _verify_witness(ft, wit, k)
+                acc.append((ft, wit))
 
     results = []
-    for first_block in _nonempty_subsets(all_cls):
-        rest = tuple(x for x in all_cls if x not in first_block)
-        if _feasibility_witness(k, (first_block,), rest) is not None:
-            extend((first_block,), rest, results)
+    extend((), tuple(range(nc)), results)
     results.sort(key=lambda pair: pair[0].ordered_blocks)
     return tuple(results)
 
 
 @lru_cache(maxsize=256)
-def minimal_flags(k: TorusK, class_bound: int = DEFAULT_CLASS_BOUND) -> tuple:
+def minimal_flags(k: TorusK) -> tuple:
     """The minimal members of F_K: nontrivial feasible types none of whose
     proper nonempty subchains is again feasible."""
-    listing = enumerate_flag_types(k, class_bound)
+    listing = enumerate_flag_types(k)
     feasible_set = {ft.ordered_blocks for ft, _ in listing}
     out = []
     for ft, wit in listing:
@@ -576,18 +559,12 @@ def relcr_torus_definition(h: GroupH, k: TorusK) -> Verdict:
                     {
                         "violated": "graded_piece_not_stable",
                         "flag_type": _type_payload(ft, k, wit),
-                        "unstable_piece_coords": sorted(
-                            j + 1 for j in _piece_coords(piece)
-                        ),
+                        # pieces are coordinate spans: their pivots are their coordinates
+                        "unstable_piece_coords": sorted(j + 1 for j in pivot_columns(piece.basis)),
                     },
                 )
         stable.append(_type_payload(ft, k, wit))
     return Verdict(True, "definition", {"stable_types": stable})
-
-
-def _piece_coords(piece: Subspace):
-    # pieces are coordinate spans; recover the coordinates from the pivots
-    return pivot_columns(piece.basis)
 
 
 def relcr_torus_minimal(h: GroupH, k: TorusK) -> Verdict:
@@ -699,9 +676,7 @@ def product_torus(factors: Sequence[TorusK]) -> TorusK:
 
 
 def _same_rational_rowspan(a: TorusK, b: TorusK) -> bool:
-    sa = Subspace.span(a.ambient_dim, [list(map(Fraction, r)) for r in a.lattice_basis]) if a.lattice_basis else Subspace.zero(a.ambient_dim)
-    sb = Subspace.span(b.ambient_dim, [list(map(Fraction, r)) for r in b.lattice_basis]) if b.lattice_basis else Subspace.zero(b.ambient_dim)
-    return sa == sb
+    return Subspace.span(a.ambient_dim, a.lattice_basis) == Subspace.span(b.ambient_dim, b.lattice_basis)
 
 
 def relcr_torus_product(

@@ -201,6 +201,11 @@ def test_corpus_filter(capsys):
     assert "example43_flags" in out and "g2_levi" not in out
 
 
+def test_corpus_all_items_pass(capsys):
+    assert main(["corpus"]) == 0
+    assert capsys.readouterr().out.endswith("10/10 corpus items passed\n")
+
+
 def test_corpus_bad_filter(capsys):
     assert main(["corpus", "--filter", "zzz-no-such"]) == 3
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relcr.exactlin import (
@@ -301,3 +301,77 @@ def test_solve_affine_residuals(sys_):
         for h in sol.homogeneous:
             assert not any(a.apply(h))
         assert a.apply(sol.point([1] * sol.dimension)) == tuple(b)
+
+
+# ---------------------------------------------------------------------------
+# Subspace construction: any spanning rows in, the canonical RREF basis out
+
+
+def rows_matrix(n, rows):
+    return RatMatrix(len(rows), n, tuple(Fraction(x) for r in rows for x in r))
+
+
+def rref_span(n, rows):
+    """Reference: the RREF of the rows, zero rows dropped."""
+    red, rank = rref(rows_matrix(n, rows))
+    return RatMatrix(rank, n, red.entries[: rank * n])
+
+
+@st.composite
+def spanning_rows(draw):
+    """Random rows plus zero, repeated and scaled copies, in random order."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = [[draw(small_rats) for _ in range(n)] for _ in range(draw(st.integers(0, 4)))]
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows or draw(st.booleans()):
+            rows.append([Fraction(0)] * n)
+        else:
+            c = draw(st.sampled_from([Fraction(1), Fraction(-2, 3), Fraction(5)]))
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+    return n, draw(st.permutations(rows))
+
+
+@given(spanning_rows())
+@settings(max_examples=100, deadline=None)
+def test_subspace_constructor_is_canonical(case):
+    n, rows = case
+    s = Subspace(n, rows_matrix(n, rows))
+    assert s == Subspace.span(n, rows)
+    assert s.basis == rref_span(n, rows)
+    again = Subspace(n, s.basis)
+    assert again == s and again.basis == s.basis
+
+
+def test_subspace_width_mismatch_raises():
+    with pytest.raises(ValueError):
+        Subspace(3, M([[1, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        Subspace(2, RatMatrix(0, 3, ()))
+    with pytest.raises(ValueError):
+        Subspace.span(3, [[1, 0, 0], [1, 0]])
+
+
+@given(two_subspaces())
+@settings(max_examples=60, deadline=None)
+def test_sum_matches_span_of_both_bases(pair):
+    a, b = pair
+    n = a.ambient_dim
+    assert subspace_sum(a, b).basis == rref_span(n, list(a.vectors()) + list(b.vectors()))
+
+
+@st.composite
+def matrix_and_subspace(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    g = M([[draw(small_rats) for _ in range(n)] for _ in range(n)])
+    assume(g.is_invertible())
+    return g, random_subspace(draw, n)
+
+
+@given(matrix_and_subspace())
+@settings(max_examples=60, deadline=None)
+def test_image_under_matches_span_of_images(case):
+    g, s = case
+    n = s.ambient_dim
+    gt = g.transpose()
+    images = [(RatMatrix(1, n, v) * gt).row(0) for v in s.vectors()]
+    assert image_under(g, s).basis == rref_span(n, images)

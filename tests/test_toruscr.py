@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcr.corpus import diagonal_matrix, subspace_stabilizer
 from relcr.exactlin import Subspace
@@ -167,6 +169,105 @@ def test_fm_witness_simple():
     # 0 >= 0 fine, 0 > 0 not
     assert fm_witness([((0, 0), False)]) is not None
     assert fm_witness([((0, 0), True)]) is None
+
+
+# Reference: Fourier-Motzkin over Fraction rows, normalised after every
+# combination.  The integer version must return the very same witness.
+
+
+def _ref_normalize_row(coeffs):
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // _gcd(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    g = 0
+    for x in ints:
+        g = _gcd(g, x)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def _ref_dedup(rows):
+    return list(dict.fromkeys(rows))
+
+
+def _ref_pick_between(lower, upper):
+    if lower is None and upper is None:
+        return Fraction(0)
+    if upper is None:
+        return lower[0] + 1
+    if lower is None:
+        return upper[0] - 1
+    (lo, ls), (up, us) = lower, upper
+    if lo < up:
+        return Fraction(0) if lo < 0 < up else (lo + up) / 2
+    assert lo == up and not ls and not us
+    return lo
+
+
+def reference_fm_witness(rows):
+    rows = [(_ref_normalize_row(tuple(Fraction(c) for c in coeffs)), bool(strict)) for coeffs, strict in rows]
+    if not rows:
+        return ()
+    nv = len(rows[0][0])
+    levels = [None] * (nv + 1)
+    levels[nv] = _ref_dedup(rows)
+    for d in range(nv, 0, -1):
+        pos, neg, new = [], [], []
+        for coeffs, strict in levels[d]:
+            c = coeffs[d - 1]
+            if c > 0:
+                pos.append((coeffs, strict))
+            elif c < 0:
+                neg.append((coeffs, strict))
+            else:
+                new.append((coeffs[: d - 1], strict))
+        for pc, ps in pos:
+            for ncf, ns in neg:
+                comb = tuple(
+                    Fraction(pc[i]) * (-ncf[d - 1]) + Fraction(ncf[i]) * pc[d - 1] for i in range(d - 1)
+                )
+                new.append((_ref_normalize_row(comb), ps or ns))
+        levels[d - 1] = _ref_dedup(new)
+    if any(strict for _, strict in levels[0]):
+        return None
+    vals = []
+    for d in range(1, nv + 1):
+        lower = upper = None
+        for coeffs, strict in levels[d]:
+            c = coeffs[d - 1]
+            rest = sum((Fraction(coeffs[i]) * vals[i] for i in range(d - 1)), Fraction(0))
+            if c == 0:
+                assert rest > 0 or (rest == 0 and not strict)
+                continue
+            bound = -rest / Fraction(c)
+            if c > 0:
+                if lower is None or bound > lower[0] or (bound == lower[0] and strict):
+                    lower = (bound, strict)
+            elif upper is None or bound < upper[0] or (bound == upper[0] and strict):
+                upper = (bound, strict)
+        vals.append(_ref_pick_between(lower, upper))
+    return tuple(vals)
+
+
+fm_coeffs = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def fm_systems(draw):
+    nv = draw(st.integers(min_value=1, max_value=4))
+    row = st.tuples(st.tuples(*[fm_coeffs] * nv), st.booleans())
+    return draw(st.lists(row, max_size=7))
+
+
+@given(fm_systems())
+@settings(max_examples=200, deadline=None)
+def test_fm_witness_matches_fraction_reference(rows):
+    got = fm_witness(rows)
+    assert got == reference_fm_witness(rows)
+    if got is not None:
+        for coeffs, strict in rows:
+            value = sum(Fraction(c) * t for c, t in zip(coeffs, got))
+            assert value > 0 if strict else value >= 0
 
 
 # ---------------------------------------------------------------------------
