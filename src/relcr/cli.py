@@ -18,13 +18,12 @@ from .structcr import build_pool, form_adjoint, verify_certificate
 from .toruscr import (
     InternalInconsistencyError,
     enumerate_flag_types,
-    flag_of_type,
     minimal_flags,
     relcr_torus_crosscheck,
     relcr_torus_definition,
     relcr_torus_levi,
     relcr_torus_minimal,
-    weight_classes,
+    type_payload,
 )
 
 EXIT_RELCR = 0
@@ -58,17 +57,27 @@ def _parse_k(data, ambient_dim: int):
         raise ScenarioError(f"invalid K payload: {exc}") from exc
 
 
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{what} must be a JSON object")
+    return data
+
+
 def _parse_scenario(data):
+    _object(data, "a scenario")
+    gens = _object(data.get("h", {}), "h").get("generators", [])
     try:
         n = int(data["ambient_dim"])
-        h = GroupH(
-            n, tuple(jsonio.matrix_from_json(g) for g in data.get("h", {}).get("generators", []))
-        )
+        if n < 1:
+            raise ValueError("ambient_dim must be at least 1")
+        h = GroupH(n, tuple(jsonio.matrix_from_json(g) for g in gens))
     except (KeyError, ValueError, TypeError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
     kind, k = _parse_k(data.get("k"), n)
     mode = data.get("mode", "auto")
-    options = data.get("options", {})
+    if not isinstance(mode, str):
+        raise ScenarioError(f"mode must be a string, not {mode!r}")
+    options = _object(data.get("options", {}), "options")
     return n, h, kind, k, mode, options
 
 
@@ -97,12 +106,14 @@ def cmd_check(args) -> int:
     n, h, kind, k, mode, options = _parse_scenario(scenario)
     if args.mode:
         mode = args.mode
+    extra_seeds = _load_json(args.seeds) if args.seeds else []
     # command line overrides the scenario file, which overrides the defaults
-    pool_cap = args.pool_cap if args.pool_cap is not None else int(options.get("pool_cap", 200))
-    elim_cap = args.elim_cap if args.elim_cap is not None else int(options.get("elim_dim_cap", 2))
-    user_seeds = [jsonio.vector_from_json(v) for v in options.get("seeds", [])]
-    if args.seeds:
-        user_seeds.extend(jsonio.vector_from_json(v) for v in _load_json(args.seeds))
+    try:
+        pool_cap = args.pool_cap if args.pool_cap is not None else int(options.get("pool_cap", 200))
+        elim_cap = args.elim_cap if args.elim_cap is not None else int(options.get("elim_dim_cap", 2))
+        user_seeds = [jsonio.vector_from_json(v) for v in [*options.get("seeds", []), *extra_seeds]]
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"invalid options: {exc}") from exc
     spec = KINDS[kind]
     if spec.check is None:
         return _check_torus(h, k, mode, args.json_indent)
@@ -141,27 +152,20 @@ def _check_torus(h, k, mode, indent) -> int:
 
 
 def cmd_flags(args) -> int:
-    data = _load_json(args.kfile)
+    data = _object(_load_json(args.kfile), "a K file")
     kind = data.get("kind", "torus")
     spec = KINDS.get(kind) if isinstance(kind, str) else None
     if spec is None or spec.flag_torus is None:
         raise ScenarioError(f"flag enumeration supports torus and g2 K, not {kind!r}")
-    k = spec.flag_torus(data)
+    try:
+        k = spec.flag_torus(data)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ScenarioError(f"invalid K payload: {exc}") from exc
     listing = minimal_flags(k) if args.minimal else enumerate_flag_types(k)
     minimal_set = {ft.ordered_blocks for ft, _ in minimal_flags(k)}
-    classes = weight_classes(k)
-    types = []
-    for ft, wit in listing:
-        fl = flag_of_type(ft, k)
-        types.append(
-            {
-                "blocks": [sorted(c + 1 for cls in b for c in classes[cls]) for b in ft.ordered_blocks],
-                "dims": list(fl.dims()),
-                "cocharacter": list(wit.coefficients),
-                "weights": list(wit.weights(k)),
-                "minimal": ft.ordered_blocks in minimal_set,
-            }
-        )
+    types = [
+        {**type_payload(ft, k, wit), "minimal": ft.ordered_blocks in minimal_set} for ft, wit in listing
+    ]
     _emit({"kind": kind, "count": len(types), "types": types}, args.json_indent)
     return 0
 

@@ -321,6 +321,13 @@ def subspace_contains(a: Subspace, b: Subspace) -> bool:
     return subspace_sum(a, b) == a
 
 
+def is_complement(a: Subspace, b: Subspace) -> bool:
+    """True iff V = a + b is a direct sum: the dimensions add up to n, and so
+    does the dimension of the sum (hence a and b meet in 0)."""
+    _check_same_ambient(a, b)
+    return a.dim + b.dim == a.ambient_dim == subspace_sum(a, b).dim
+
+
 @dataclass(frozen=True)
 class AffineSolution:
     """Solution set of A x = b.

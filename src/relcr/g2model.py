@@ -20,7 +20,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
-from .exactlin import RatMatrix, Subspace, ZERO, kernel_basis, rat, rat_str, subspace_contains, subspace_intersect, subspace_sum
+from .exactlin import RatMatrix, Subspace, ZERO, is_complement, kernel_basis, rat, rat_str, subspace_contains
 from .flags import Flag, GroupH, subspace_is_stable
 from .structcr import (
     BilinForm,
@@ -28,6 +28,7 @@ from .structcr import (
     SubspacePool,
     TriVerdict,
     graph_quadratics,
+    is_totally_isotropic,
     isotropy_polys,
     perp,
     relcr_form_family,
@@ -259,12 +260,10 @@ def is_doubly_singular(u: Subspace, d: G2Data) -> bool:
     1-dimensional case a plain bilinear-singularity test)."""
     if u.dim not in (1, 2):
         raise ValueError("doubly singular is defined for dimensions 1 and 2")
-    vs = [list(v) for v in u.vectors()]
-    for i in range(len(vs)):
-        for j in range(i, len(vs)):
-            if d.bilinear.pair(vs[i], vs[j]) != 0:
-                return False
+    if not is_totally_isotropic(u, d.bilinear):
+        return False
     if u.dim == 2:
+        vs = u.vectors()
         for k in range(7):
             ek = [Fraction(1 if t == k else 0) for t in range(7)]
             if d.tri_value(vs[0], vs[1], ek) != 0:
@@ -299,22 +298,13 @@ def g2_minimal_flag(u: Subspace, d: G2Data) -> Flag:
 
 
 def g2_flag_shape_ok(f: Flag, d: G2Data) -> bool:
-    """Shape test for membership in F_K for K of type G2 (minimal shapes)."""
-    dims = f.dims()
-    if dims == (2, 5):
-        u = f.chain[0]
-        return is_doubly_singular(u, d) and f.chain[1] == perp(u, d.bilinear)
-    if dims == (1, 3, 4, 6):
-        u = f.chain[0]
-        if not is_doubly_singular(u, d):
-            return False
-        dl = delta(u, d)
-        return (
-            f.chain[1] == dl
-            and f.chain[2] == perp(dl, d.bilinear)
-            and f.chain[3] == perp(u, d.bilinear)
-        )
-    return False
+    """Shape test for membership in F_K for K of type G2 (minimal shapes):
+    the minimal flag through a doubly singular first member."""
+    return (
+        f.dims() in ((2, 5), (1, 3, 4, 6))
+        and is_doubly_singular(f.chain[0], d)
+        and f == g2_minimal_flag(f.chain[0], d)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +346,6 @@ def _check_g2_witness(
 ) -> Optional[dict]:
     """Full Theorem-A.1 conditions for a candidate witness W; None if any
     check fails, else the check record."""
-    n = 7
     b = d.bilinear
     if not is_doubly_singular(w, d):
         return None
@@ -367,20 +356,13 @@ def _check_g2_witness(
     checks = {
         "w_doubly_singular": True,
         "w_flag_stable": True,
-        "v_eq_w_plus_uperp": subspace_intersect(w, uperp).dim == 0
-        and subspace_sum(w, uperp).dim == n,
-        "v_eq_u_plus_wperp": subspace_intersect(u, wperp).dim == 0
-        and subspace_sum(u, wperp).dim == n,
+        "v_eq_w_plus_uperp": is_complement(w, uperp),
+        "v_eq_u_plus_wperp": is_complement(u, wperp),
     }
     if u.dim == 1:
         du, dw = delta(u, d), delta(w, d)
-        dup, dwp = perp(du, b), perp(dw, b)
-        checks["v_eq_du_plus_dwperp"] = (
-            subspace_intersect(du, dwp).dim == 0 and subspace_sum(du, dwp).dim == n
-        )
-        checks["v_eq_dw_plus_duperp"] = (
-            subspace_intersect(dw, dup).dim == 0 and subspace_sum(dw, dup).dim == n
-        )
+        checks["v_eq_du_plus_dwperp"] = is_complement(du, perp(dw, b))
+        checks["v_eq_dw_plus_duperp"] = is_complement(dw, perp(du, b))
     if not all(checks.values()):
         return None
     return checks

@@ -21,6 +21,7 @@ from .exactlin import (
     Subspace,
     ZERO,
     charpoly,
+    is_complement,
     kernel_basis,
     pivot_columns,
     rational_roots,
@@ -268,12 +269,15 @@ class ComplementFamily:
     def dimension(self) -> int:
         return self.solution.dimension
 
-    def _graph_rows(self, phi_entries) -> list:
+    def _graph_rows(self, phi_entries, starts=None) -> list:
+        """Row i is starts[i] (by default the i-th reference complement row)
+        plus the i-th row of phi applied to the base rows."""
+        starts = self.comp_rows if starts is None else starts
         q = len(self.comp_rows)
         p = len(self.base_rows)
         rows = []
         for i in range(q):
-            row = list(self.comp_rows[i])
+            row = list(starts[i])
             for j in range(p):
                 c = phi_entries[i * p + j]
                 if c:
@@ -295,19 +299,8 @@ class ComplementFamily:
         if self.is_empty:
             raise ValueError("empty family")
         consts = self._graph_rows(self.solution.particular)
-        dirs = []
-        q = len(self.comp_rows)
-        p = len(self.base_rows)
-        for hvec in self.solution.homogeneous:
-            drows = []
-            for i in range(q):
-                row = [ZERO] * self.ambient_dim
-                for j in range(p):
-                    c = hvec[i * p + j]
-                    if c:
-                        row = [a + c * bb for a, bb in zip(row, self.base_rows[j])]
-                drows.append(row)
-            dirs.append(drows)
+        zeros = [[ZERO] * self.ambient_dim] * len(self.comp_rows)
+        dirs = [self._graph_rows(hvec, zeros) for hvec in self.solution.homogeneous]
         return consts, dirs
 
 
@@ -351,10 +344,7 @@ def stable_complements(
     for g in h.generators:
         gu = []  # D: images of u-basis in u-coordinates
         for bvec in base_rows:
-            beta, gamma = coords(g.apply(bvec))
-            if any(gamma):
-                raise ValueError("u not stable under a generator")  # defensive; checked above
-            gu.append(beta)
+            gu.append(coords(g.apply(bvec))[0])  # u is H-stable: no C0 part
         for i in range(q):
             beta, gamma = coords(g.apply(comp_rows[i]))  # B c_i, A c_i
             for ell in range(p):
@@ -368,9 +358,7 @@ def stable_complements(
     if inside is not None:
         if inside.ambient_dim != n:
             raise ValueError("ambient dimension mismatch")
-        ann = kernel_basis(inside.basis) if inside.dim else [
-            tuple(Fraction(1 if t == j else 0) for t in range(n)) for j in range(n)
-        ]
+        ann = kernel_basis(inside.basis)
         for i in range(q):
             for z in ann:
                 row = blank()
@@ -389,10 +377,7 @@ def stable_complements(
                     row[kk * p + ell] = gamma[kk]
                 eq_rows.append(row)
                 rhs.append(beta[ell])
-    if eq_rows:
-        sol = solve_affine(RatMatrix.from_rows(eq_rows), rhs)
-    else:
-        sol = solve_affine(RatMatrix.zero(1, nunk), [0]) if nunk else AffineSolution(0, (), (), None)
+    sol = solve_affine(RatMatrix(len(eq_rows), nunk, tuple(x for r in eq_rows for x in r)), rhs)
     return ComplementFamily(n, u, tuple(comp_rows), tuple(base_rows), sol)
 
 
@@ -541,16 +526,9 @@ def enumerate_poly_solutions(polys, nvars):
         if nvars == 0:
             return "all", [()], ""
         return "some", [(ZERO,) * nvars], "unconstrained family"
-    for idx, p in enumerate(live):
-        if poly_degree_total(p) == 0:
-            proof = {
-                "kind": "constant",
-                "value": jsonio.vector_to_json([next(iter(p.values()))])[0],
-                "poly_index": idx,
-            }
-            return "empty", proof, "contradictory constant equation"
-    if nvars == 0:
-        return "all", [()], ""
+    proof = _constant_proof(live)
+    if proof is not None:
+        return "empty", proof, "contradictory constant equation"
     if nvars == 1:
         status, payload = _solve_univariate_system(live)
         if status == "empty":
@@ -576,16 +554,25 @@ def poly_degree_total(p):
     return max((sum(k) for k in p), default=-1)
 
 
-def _solve_univariate_system(live):
-    """live: nonempty list of nonzero 1-variable polynomial dicts.  Returns
-    ("empty", proof) or ("all", complete list of common rational zeros)."""
+def _constant_proof(live):
+    """An emptiness proof from the first constant of live (nonzero, as every
+    member of live is), or None when live holds no constant."""
     for idx, p in enumerate(live):
         if poly_degree_total(p) == 0:
-            return "empty", {
+            return {
                 "kind": "constant",
                 "value": jsonio.vector_to_json([next(iter(p.values()))])[0],
                 "poly_index": idx,
             }
+    return None
+
+
+def _solve_univariate_system(live):
+    """live: nonempty list of nonzero 1-variable polynomial dicts.  Returns
+    ("empty", proof) or ("all", complete list of common rational zeros)."""
+    proof = _constant_proof(live)
+    if proof is not None:
+        return "empty", proof
     lead = poly_to_univariate(live[0])
     sols = []
     checked = []
@@ -614,6 +601,29 @@ _SAMPLE_VALUES = (ZERO,) + tuple(Fraction(s * i) for i in range(1, 7) for s in (
 _FIBRE_SAMPLES = _SAMPLE_VALUES[:5]
 
 
+def _fibre(live, var, value):
+    """The system on the line {t_var = value}: None when every polynomial
+    vanishes on the whole line, else _solve_univariate_system's answer in
+    the other variable."""
+    subs = [q for q in (poly_substitute(p, var, value) for p in live) if q]
+    return _solve_univariate_system(subs) if subs else None
+
+
+def _sample_lines(live, var, values):
+    """Rational zeros of the system on the lines {t_var = v}, v in values, in
+    order; a line on which every polynomial vanishes gives _FIBRE_SAMPLES."""
+    pts = []
+    for value in values:
+        fibre = _fibre(live, var, value)
+        if fibre is None:
+            others = _FIBRE_SAMPLES
+        else:
+            status, payload = fibre
+            others = [t[0] for t in payload] if status == "all" else []
+        pts.extend((value, o) if var == 0 else (o, value) for o in others)
+    return pts
+
+
 def _enumerate_bivariate(live):
     only_t1 = [p for p in live if poly_degree_in(p, 1) <= 0]
     mixed = [p for p in live if poly_degree_in(p, 1) > 0]
@@ -625,7 +635,9 @@ def _enumerate_bivariate(live):
         pts = [(t1[0], s) for t1 in payload for s in _FIBRE_SAMPLES]
         return "some", pts, "second coordinate unconstrained"
     if len(live) == 1:
-        return _sample_single_bivariate(live[0])
+        # one plane curve: sample vertical lines, then horizontal ones
+        pts = _sample_lines(live, 0, _SAMPLE_VALUES) or _sample_lines(live, 1, _SAMPLE_VALUES)
+        return "some", pts, "" if pts else "single plane curve sampled"
     eliminated = [poly_to_univariate({(k[0],): v for k, v in p.items()}) for p in only_t1]
     for i in range(len(mixed)):
         for j in range(i + 1, len(mixed)):
@@ -634,16 +646,8 @@ def _enumerate_bivariate(live):
     if pivot is None:
         # all resultants vanish identically (shared factor): sample for
         # solutions, but never conclude emptiness this way
-        pts = []
-        for t1 in _SAMPLE_VALUES:
-            subs = [q for q in (poly_substitute(p, 0, t1) for p in live) if q]
-            if not subs:
-                pts.extend((t1, s) for s in _FIBRE_SAMPLES)
-                continue
-            status, payload = _solve_univariate_system(subs)
-            if status == "all":
-                pts.extend((t1, t2[0]) for t2 in payload)
-        return "some", pts, "vanishing resultants (positive-dimensional common factor)"
+        note = "vanishing resultants (positive-dimensional common factor)"
+        return "some", _sample_lines(live, 0, _SAMPLE_VALUES), note
     # any common rational zero has its first coordinate among the pivot's
     # rational roots: the resultant lies in the elimination ideal
     candidates = rational_roots(pivot)
@@ -651,16 +655,14 @@ def _enumerate_bivariate(live):
     per_candidate = []
     complete = True
     for t1 in candidates:
-        subs = [q for q in (poly_substitute(p, 0, t1) for p in live) if q]
-        if not subs:
+        fibre = _fibre(live, 0, t1)
+        if fibre is None:
             complete = False  # a whole fibre of solutions
             pts.extend((t1, s) for s in _FIBRE_SAMPLES)
-            continue
-        status, payload = _solve_univariate_system(subs)
-        if status == "all":
-            pts.extend((t1, t2[0]) for t2 in payload)
+        elif fibre[0] == "all":
+            pts.extend((t1, t2) for (t2,) in fibre[1])
         else:
-            per_candidate.append({"t1": jsonio.vector_to_json([t1])[0], "proof": payload})
+            per_candidate.append({"t1": jsonio.vector_to_json([t1])[0], "proof": fibre[1]})
     if pts:
         return ("all" if complete else "some"), pts, ""
     return (
@@ -673,31 +675,6 @@ def _enumerate_bivariate(live):
         },
         "resultant elimination",
     )
-
-
-def _sample_single_bivariate(p):
-    pts = []
-    d2 = poly_degree_in(p, 1)
-    for t1 in _SAMPLE_VALUES:
-        q = poly_substitute(p, 0, t1)
-        if not q:
-            pts.extend((t1, s) for s in _FIBRE_SAMPLES)
-            continue
-        if poly_degree_total(q) == 0:
-            continue
-        for r in rational_roots(poly_to_univariate(q)):
-            pts.append((t1, r))
-    if not pts and d2 > 0:
-        for t2 in _SAMPLE_VALUES:
-            q = poly_substitute(p, 1, t2)
-            if not q:
-                pts.extend((s, t2) for s in _FIBRE_SAMPLES)
-                continue
-            if poly_degree_total(q) == 0:
-                continue
-            for r in rational_roots(poly_to_univariate(q)):
-                pts.append((r, t2))
-    return "some", pts, "single plane curve sampled" if not pts else ""
 
 
 # independent re-verification of emptiness proofs ---------------------------
@@ -848,20 +825,19 @@ def _poly_payload(polys) -> list:
 # K = GL(U)
 
 
+def _in_sk(s: Subspace, split: GLUSplit) -> bool:
+    """S_K for K = GL(U), up to properness: inside U or containing Utilde."""
+    return subspace_contains(split.U, s) or subspace_contains(s, split.Utilde)
+
+
 def glu_members(split: GLUSplit, pool: SubspacePool) -> list:
-    """Pool members lying in S_K for K = GL(U): proper nonzero subspaces
-    contained in U or containing Utilde."""
-    out = []
-    for s in pool.sorted_members():
-        if s.dim == 0 or s.dim == split.ambient_dim:
-            continue
-        if subspace_contains(split.U, s) or subspace_contains(s, split.Utilde):
-            out.append(s)
-    return out
+    """Pool members lying in S_K: proper nonzero subspaces contained in U or
+    containing Utilde."""
+    return [s for s in pool.sorted_members() if 0 < s.dim < split.ambient_dim and _in_sk(s, split)]
 
 
 def glu_flag_in_fk(f: Flag, split: GLUSplit) -> bool:
-    return all(subspace_contains(split.U, s) or subspace_contains(s, split.Utilde) for s in f.chain)
+    return all(_in_sk(s, split) for s in f.chain)
 
 
 def relcr_glu(h: GroupH, split: GLUSplit, pool: SubspacePool) -> TriVerdict:
@@ -903,14 +879,7 @@ def relcr_glu(h: GroupH, split: GLUSplit, pool: SubspacePool) -> TriVerdict:
 
 
 def _assert_glu_witness(cand: Subspace, w: Subspace, h: GroupH, split: GLUSplit):
-    n = split.ambient_dim
-    ok = (
-        subspace_sum(cand, w).dim == n
-        and subspace_intersect(cand, w).dim == 0
-        and subspace_is_stable(w, h)
-        and (subspace_contains(split.U, w) or subspace_contains(w, split.Utilde))
-    )
-    if not ok:
+    if not (is_complement(cand, w) and subspace_is_stable(w, h) and _in_sk(w, split)):
         raise AssertionError("internal: complement witness failed verification")
 
 
@@ -1094,16 +1063,13 @@ def relcr_classical(
 
 
 def _verify_classical_witness(u, uperp, w, h, b) -> dict:
-    n = b.ambient_dim
     wperp = perp(w, b)
     checks = {
         "w_totally_isotropic": is_totally_isotropic(w, b),
         "w_stable": subspace_is_stable(w, h),
         "w_perp_stable": subspace_is_stable(wperp, h),
-        "w_plus_uperp_direct": subspace_intersect(w, uperp).dim == 0
-        and subspace_sum(w, uperp).dim == n,
-        "u_plus_wperp_direct": subspace_intersect(u, wperp).dim == 0
-        and subspace_sum(u, wperp).dim == n,
+        "w_plus_uperp_direct": is_complement(w, uperp),
+        "u_plus_wperp_direct": is_complement(u, wperp),
     }
     checks["flags_opposite"] = (
         verify_opposite(_isotropic_flag(u, uperp), _isotropic_flag(w, wperp)) is not None

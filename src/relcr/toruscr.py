@@ -33,6 +33,8 @@ class TorusK:
     lattice_basis: tuple  # tuple of tuples of int, full row rank over Q
 
     def __post_init__(self):
+        if self.ambient_dim < 1:
+            raise ValueError("ambient dimension must be at least 1")
         for row in self.lattice_basis:
             if len(row) != self.ambient_dim:
                 raise ValueError("lattice basis row length must equal ambient dimension")
@@ -280,21 +282,6 @@ def _feasibility_witness(k: TorusK, prefix_blocks, remaining) -> Optional[tuple]
     return _primitive(_clear_denominators(c))
 
 
-def feasible(ft: FlagType, k: TorusK) -> Optional[CocharacterWitness]:
-    """Decide whether some cocharacter of K realizes the flag type; on success
-    return an integer witness, already verified against the type."""
-    classes, cols = _class_columns(k)
-    covered = sorted(i for b in ft.ordered_blocks for i in b)
-    if covered != list(range(len(classes))):
-        raise ValueError("flag type must partition the weight classes")
-    c = _feasibility_witness(k, ft.ordered_blocks, ())
-    if c is None:
-        return None
-    wit = CocharacterWitness.of(c)
-    _verify_witness(ft, wit, k)
-    return wit
-
-
 def _verify_witness(ft: FlagType, wit: CocharacterWitness, k: TorusK):
     classes = weight_classes(k)
     w = wit.weights(k)
@@ -404,40 +391,8 @@ def flag_of_type(ft: FlagType, k: TorusK) -> Flag:
 
 
 def torus_flag_in_fk(f: Flag, k: TorusK) -> bool:
-    """Membership in F_K: a chain of coordinate subspaces whose steps are
-    unions of weight classes, in an order some cocharacter realizes."""
-    classes = weight_classes(k)
-    owner = {}
-    for ci, cls in enumerate(classes):
-        for coord in cls:
-            owner[coord] = ci
-    blocks = []
-    prev: set = set()
-    for s in f.chain:
-        rows = s.vectors()
-        coords = set()
-        for v in rows:
-            nz = [j for j, x in enumerate(v) if x]
-            if len(nz) != 1 or v[nz[0]] != 1:
-                return False  # not a coordinate subspace
-            coords.add(nz[0])
-        step = coords - prev
-        if not step or (prev - coords):
-            return False
-        blocks.append(step)
-        prev = coords
-    blocks.append(set(range(f.ambient_dim)) - prev)
-    class_blocks = []
-    for blk in blocks:
-        cls_ids = {owner[c] for c in blk}
-        if set().union(*(set(classes[ci]) for ci in cls_ids)) != blk:
-            return False  # block is not a union of weight classes
-        class_blocks.append(sorted(cls_ids))
-    try:
-        ft = FlagType.of(class_blocks)
-    except ValueError:
-        return False
-    return feasible(ft, k) is not None
+    """Membership in F_K: the flag of some listed feasible type."""
+    return any(flag_of_type(ft, k) == f for ft, _ in enumerate_flag_types(k))
 
 
 @lru_cache(maxsize=8192)
@@ -521,7 +476,9 @@ class Verdict:
         return "relcr" if self.relcr else "not_relcr"
 
 
-def _type_payload(ft: FlagType, k: TorusK, wit: Optional[CocharacterWitness] = None) -> dict:
+def type_payload(ft: FlagType, k: TorusK, wit: Optional[CocharacterWitness] = None) -> dict:
+    """A flag type as reported: its blocks of 1-based coordinates, the dims of
+    its flag and, given a witness, the cocharacter and its weights."""
     classes = weight_classes(k)
     blocks = [sorted(c + 1 for cls in b for c in classes[cls]) for b in ft.ordered_blocks]
     out = {
@@ -558,12 +515,12 @@ def relcr_torus_definition(h: GroupH, k: TorusK) -> Verdict:
                     "definition",
                     {
                         "violated": "graded_piece_not_stable",
-                        "flag_type": _type_payload(ft, k, wit),
+                        "flag_type": type_payload(ft, k, wit),
                         # pieces are coordinate spans: their pivots are their coordinates
                         "unstable_piece_coords": sorted(j + 1 for j in pivot_columns(piece.basis)),
                     },
                 )
-        stable.append(_type_payload(ft, k, wit))
+        stable.append(type_payload(ft, k, wit))
     return Verdict(True, "definition", {"stable_types": stable})
 
 
@@ -582,11 +539,11 @@ def relcr_torus_minimal(h: GroupH, k: TorusK) -> Verdict:
                 "minimal",
                 {
                     "violated": "opposite_flag_not_stable",
-                    "flag_type": _type_payload(ft, k, wit),
-                    "opposite_type": _type_payload(opp, k),
+                    "flag_type": type_payload(ft, k, wit),
+                    "opposite_type": type_payload(opp, k),
                 },
             )
-        pairs.append({"flag_type": _type_payload(ft, k, wit), "opposite_type": _type_payload(opp, k)})
+        pairs.append({"flag_type": type_payload(ft, k, wit), "opposite_type": type_payload(opp, k)})
     return Verdict(True, "minimal", {"stable_minimal_pairs": pairs})
 
 
@@ -605,7 +562,7 @@ def relcr_torus_levi(h: GroupH, k: TorusK) -> Verdict:
             return Verdict(
                 True,
                 "levi",
-                {"levi_type": _type_payload(ft, k, wit)},
+                {"levi_type": type_payload(ft, k, wit)},
             )
     return Verdict(False, "levi", {"violated": "no_qualifying_levi"})
 

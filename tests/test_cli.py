@@ -217,3 +217,44 @@ def test_check_determinism_across_runs(tmp_path, capsys):
         assert main(["check", path]) == 0
         outputs.add(capsys.readouterr().out.encode())
     assert len(outputs) == 1
+
+
+GLU2_K = {"kind": "glu", "U": [["1", "0"]], "Utilde": [["0", "1"]]}
+TORUS2_K = {"kind": "torus", "lattice_basis": [[1, -1]]}
+MALFORMED = {
+    "flags_torus_without_lattice": ("flags", {"kind": "torus", "ambient_dim": 3}),
+    "flags_torus_without_ambient_dim": ("flags", {"kind": "torus", "lattice_basis": [[1, 0, -1]]}),
+    "flags_not_an_object": ("flags", [1, 2]),
+    "flags_torus_ambient_dim_0": ("flags", {"kind": "torus", "ambient_dim": 0, "lattice_basis": []}),
+    "check_h_not_an_object": ("check", {"ambient_dim": 2, "h": [], "k": TORUS2_K}),
+    "check_options_not_an_object": ("check", {"ambient_dim": 2, "k": GLU2_K, "options": []}),
+    "check_seed_not_an_array": ("check", {"ambient_dim": 2, "k": GLU2_K, "options": {"seeds": [5]}}),
+    "check_pool_cap_not_a_number": ("check", {"ambient_dim": 2, "k": GLU2_K, "options": {"pool_cap": []}}),
+    "check_mode_not_a_string": ("check", {"ambient_dim": 2, "k": TORUS2_K, "mode": []}),
+    "check_torus_ambient_dim_0": ("check", {"ambient_dim": 0, "k": {"kind": "torus", "lattice_basis": []}}),
+    "check_torus_ambient_dim_negative": ("check", {"ambient_dim": -1, "k": {"kind": "torus", "lattice_basis": []}}),
+    "verify_flag_of_larger_ambient_dim": (
+        "verify",
+        {
+            "ambient_dim": 4,
+            "h": {"generators": []},
+            "k": EX43_K,
+            "pairs": [
+                {
+                    "flag": {"ambient_dim": 5, "chain": [[["0", "0", "0", "0", "1"]]]},
+                    "opposite": {"ambient_dim": 5, "chain": [[["1", "0", "0", "0", "0"]]]},
+                }
+            ],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exit3(tmp_path, capsys, name):
+    # malformed input is a usage error, never a verdict, a traceback or an
+    # internal inconsistency
+    command, payload = MALFORMED[name]
+    assert main([command, write(tmp_path, "in.json", payload)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from relcr.exactlin import (
     RatMatrix,
     Subspace,
+    charpoly,
     image_under,
+    is_complement,
     kernel_basis,
     rat,
     rat_str,
@@ -19,6 +21,7 @@ from relcr.exactlin import (
     subspace_intersect,
     subspace_sum,
 )
+from relcr.structcr import resultant_in_second_var
 
 
 def M(rows):
@@ -257,6 +260,27 @@ def test_modular_law(pair):
     assert subspace_contains(a, i) and subspace_contains(b, i)
 
 
+def test_is_complement_cases():
+    n = 3
+    e = [Subspace.coordinate(n, [i]) for i in range(n)]
+    plane12, plane23 = Subspace.coordinate(n, [0, 1]), Subspace.coordinate(n, [1, 2])
+    assert is_complement(e[0], plane23) and is_complement(plane23, e[0])
+    assert not is_complement(plane12, plane23)  # the sum is V, but not direct
+    assert not is_complement(e[1], plane12)  # the line lies in the plane
+    assert not is_complement(e[0], e[1])  # direct, but not all of V
+    assert is_complement(Subspace.zero(n), Subspace.full(n))
+    with pytest.raises(ValueError):
+        is_complement(e[0], Subspace.full(2))
+
+
+@given(two_subspaces())
+@settings(max_examples=80, deadline=None)
+def test_is_complement_is_a_direct_sum_of_v(pair):
+    a, b = pair
+    n = a.ambient_dim
+    assert is_complement(a, b) == (subspace_intersect(a, b).dim == 0 and subspace_sum(a, b).dim == n)
+
+
 @given(two_subspaces(), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_canonicity_under_basis_change(pair, rng):
@@ -375,3 +399,95 @@ def test_image_under_matches_span_of_images(case):
     gt = g.transpose()
     images = [(RatMatrix(1, n, v) * gt).row(0) for v in s.vectors()]
     assert image_under(g, s).basis == rref_span(n, images)
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle (skipped when sympy is not installed)
+
+
+def to_sympy(sympy, m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+
+
+def from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+@given(spanning_rows())
+@settings(max_examples=80, deadline=None)
+def test_rref_and_kernel_match_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    n, rows = case
+    assume(rows)
+    m = rows_matrix(n, rows)
+    red, rank = rref(m)
+    expected, pivots = to_sympy(sympy, m).rref()
+    assert [from_sympy(x) for x in expected] == list(red.entries)
+    assert rank == len(pivots)
+    kernel = [tuple(from_sympy(x) for x in v) for v in to_sympy(sympy, m).nullspace()]
+    assert kernel_basis(m) == kernel
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    return M([[draw(small_rats) for _ in range(n)] for _ in range(n)])
+
+
+@given(square_matrices())
+@settings(max_examples=60, deadline=None)
+def test_charpoly_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    expected = to_sympy(sympy, m).charpoly().all_coeffs()
+    assert charpoly(m) == [from_sympy(c) for c in reversed(expected)]
+
+
+@st.composite
+def bivariate_pairs(draw):
+    """Two polynomial dicts in (t1, t2), each of positive degree in t2."""
+
+    def poly():
+        terms = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, 2), st.integers(0, 2)), small_rats.filter(bool), max_size=5
+            )
+        )
+        terms[(draw(st.integers(0, 2)), draw(st.integers(1, 2)))] = draw(small_rats.filter(bool))
+        return terms
+
+    return poly(), poly()
+
+
+@given(bivariate_pairs())
+@settings(max_examples=60, deadline=None)
+def test_resultant_matches_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def expr(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j for (i, j), c in p.items())
+
+    p, q = pair
+    expected = sympy.Poly(sympy.resultant(expr(p), expr(q), y), x, domain="QQ")
+    want = [] if expected.is_zero else [from_sympy(c) for c in reversed(expected.all_coeffs())]
+    assert resultant_in_second_var(p, q) == want
+
+
+@given(affine_systems())
+@settings(max_examples=80, deadline=None)
+def test_solve_affine_matches_sympy(sys_):
+    sympy = pytest.importorskip("sympy")
+    a, b = sys_
+    sol = solve_affine(a, b)
+    sa = to_sympy(sympy, a)
+    sb = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in b])
+    assert sol.is_empty == (sa.row_join(sb).rank() > sa.rank())
+    if sol.is_empty:
+        y = sol.certificate
+        assert [sum(y[i] * a[i, j] for i in range(a.rows)) for j in range(a.cols)] == [0] * a.cols
+        assert sum(yi * Fraction(bi) for yi, bi in zip(y, b)) == 1
+    else:
+        assert a.apply(sol.particular) == tuple(b)
+        nullspace = [[from_sympy(x) for x in v] for v in sa.nullspace()]
+        assert len(sol.homogeneous) == len(nullspace)
+        assert Subspace.span(a.cols, sol.homogeneous) == Subspace.span(a.cols, nullspace)

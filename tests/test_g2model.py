@@ -1,12 +1,13 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from relcr.corpus import block_diagonal_group, diagonal_matrix
 from relcr.exactlin import Subspace, image_under
-from relcr.flags import GroupH, verify_opposite
+from relcr.flags import Flag, GroupH, verify_opposite
 from relcr.g2model import (
     G2Data,
     build_g2_data,
@@ -141,6 +142,94 @@ def test_minimal_flag_shapes():
     f2 = g2_minimal_flag(coord(1, 2), D)
     assert f2.dims() == (2, 5)
     assert g2_flag_shape_ok(f1, D) and g2_flag_shape_ok(f2, D)
+
+
+# the F_K shape test as it was before it compared with g2_minimal_flag: the
+# minimal flag through chain[0], rebuilt member by member
+
+
+def reference_shape_ok(f, d):
+    dims = f.dims()
+    if dims == (2, 5):
+        u = f.chain[0]
+        return is_doubly_singular(u, d) and f.chain[1] == perp(u, d.bilinear)
+    if dims == (1, 3, 4, 6):
+        u = f.chain[0]
+        if not is_doubly_singular(u, d):
+            return False
+        dl = delta(u, d)
+        return f.chain[1] == dl and f.chain[2] == perp(dl, d.bilinear) and f.chain[3] == perp(u, d.bilinear)
+    return False
+
+
+def _singular_vector(rng):
+    """A random x with B(x, x) = 0, solved for its last coordinate."""
+    while True:
+        x = [Fraction(rng.randint(-2, 2)) for _ in range(6)] + [Fraction(0)]
+        if x[0]:
+            break
+    x[6] = -D.bilinear.pair(x, x) / (2 * D.bilinear.gram[0, 6] * x[0])
+    assert D.bilinear.pair(x, x) == 0
+    return x
+
+
+def _combination(rng, s):
+    """A random small integer combination of the basis of s."""
+    cs = [rng.randint(-2, 2) for _ in range(s.dim)]
+    return [sum(c * v[t] for c, v in zip(cs, s.vectors())) for t in range(s.ambient_dim)]
+
+
+def _random_doubly_singular(rng, dim):
+    x = _singular_vector(rng)
+    if dim == 1:
+        return Subspace.span(7, [x])
+    dl = delta(Subspace.span(7, [x]), D)
+    while True:
+        u = Subspace.span(7, [x, _combination(rng, dl)])
+        if u.dim == 2 and is_doubly_singular(u, D):
+            return u
+
+
+def _random_chain(rng, dims, first=None):
+    """A flag of the given dims through random vectors, optionally through
+    the subspace first."""
+    while True:
+        vs = list(first.vectors()) if first is not None else []
+        vs += [[Fraction(rng.choice((0, 0, 1, -1, 2))) for _ in range(7)] for _ in range(7)]
+        try:
+            return Flag(7, tuple(Subspace.span(7, vs[:k]) for k in dims))
+        except ValueError:
+            continue
+
+
+def test_flag_shape_matches_member_by_member_reference():
+    rng = random.Random(3)
+    flags = [flag_of_type(ft, D.torus) for ft, _ in enumerate_flag_types(D.torus)]
+    for _ in range(40):
+        dim = rng.choice((1, 2))
+        u = _random_doubly_singular(rng, dim)
+        f = g2_minimal_flag(u, D)
+        dims = f.dims()
+        flags.append(f)
+        # the same dims through u, and through a random first member
+        flags.append(_random_chain(rng, dims, first=u))
+        flags.append(_random_chain(rng, dims))
+        # one later member of the minimal flag replaced by another subspace
+        # between its neighbours
+        i = rng.randrange(1, len(dims))
+        upper = f.chain[i + 1] if i + 1 < len(dims) else Subspace.full(7)
+        while True:
+            combos = [_combination(rng, upper) for _ in range(dims[i] - dims[i - 1])]
+            other = Subspace.span(7, list(f.chain[i - 1].vectors()) + combos)
+            if other.dim == dims[i]:
+                break
+        flags.append(Flag(7, f.chain[:i] + (other,) + f.chain[i + 1 :]))
+    counts = Counter()
+    for f in flags:
+        got = g2_flag_shape_ok(f, D)
+        assert got == reference_shape_ok(f, D), f
+        counts[got] += 1
+    assert counts[True] >= 40 and counts[False] >= 80
 
 
 def test_minimal_flag_opposition():

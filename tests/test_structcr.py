@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from relcr.corpus import (
     subspace_stabilizer,
     symplectic_transvection,
 )
-from relcr.exactlin import RatMatrix, Subspace, image_under, subspace_intersect, subspace_sum
+from relcr.exactlin import RatMatrix, Subspace, image_under, rat_str, subspace_intersect, subspace_sum
 from relcr.flags import Flag, GroupH, subspace_is_stable
 from relcr.structcr import (
     INCONCLUSIVE,
@@ -409,6 +411,38 @@ def test_enumerate_zero_parameters_complete():
     assert status == "all" and pts == [()]
     status, proof, _ = enumerate_poly_solutions([{(): Fraction(3)}], 0)
     assert status == "empty" and proof["kind"] == "constant"
+
+
+POLY_SOLUTIONS = json.loads((Path(__file__).parent / "data" / "poly_solutions.json").read_text())
+
+
+def _jsonable(x):
+    if isinstance(x, Fraction):
+        return rat_str(x)
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(y) for y in x]
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    return x
+
+
+@pytest.mark.parametrize("name", sorted(POLY_SOLUTIONS))
+def test_enumerate_poly_solutions_golden(name):
+    # status, points (with their order), note and proof of every branch of
+    # the <= 2-variable solver, as the sampling solver first produced them:
+    # no mixed polynomial, one plane curve (whole, constant and horizontal
+    # lines), vanishing resultants (whole, empty and solved lines),
+    # resultant candidates (whole fibre, solved, refuted), constants
+    from relcr.structcr import enumerate_poly_solutions
+
+    case = POLY_SOLUTIONS[name]
+    polys = [{tuple(e): Fraction(c) for e, c in terms} for terms in case["polys"]]
+    status, payload, note = enumerate_poly_solutions(polys, case["nvars"])
+    assert (status, _jsonable(payload), note) == (case["status"], case["payload"], case["note"])
+    if status == "empty":
+        assert verify_emptiness_proof(payload, polys, case["nvars"])
+    else:
+        assert all(type(pt) is tuple and len(pt) == case["nvars"] for pt in payload)
 
 
 def test_resultant_common_root():

@@ -15,9 +15,11 @@ from relcr.toruscr import (
     FlagType,
     InternalInconsistencyError,
     TorusK,
+    _class_columns,
+    _feasibility_witness,
+    _verify_witness,
     common_refinement,
     enumerate_flag_types,
-    feasible,
     flag_from_weights,
     flag_of_type,
     fm_witness,
@@ -28,6 +30,7 @@ from relcr.toruscr import (
     relcr_torus_levi,
     relcr_torus_minimal,
     relcr_torus_product,
+    torus_flag_in_fk,
     weight_classes,
 )
 
@@ -144,23 +147,145 @@ def test_flag_from_weights_scaling_invariance():
 # feasibility
 
 
+def listed_witness(ft, k):
+    """The witness F_K's listing keeps for a type, None if it is not listed."""
+    return dict(enumerate_flag_types(k)).get(ft)
+
+
 def test_feasible_example43_dims1_infeasible():
     ft = FlagType.of([[0], [1, 2, 3]])
-    assert feasible(ft, EX43) is None
+    assert listed_witness(ft, EX43) is None
+    assert not torus_flag_in_fk(flag_of_type(ft, EX43), EX43)
 
 
 def test_feasible_example43_dims13():
     ft = FlagType.of([[0], [1, 2], [3]])
-    wit = feasible(ft, EX43)
+    wit = listed_witness(ft, EX43)
     assert wit is not None
     w = wit.weights(EX43)
     assert w[0] > w[1] == w[2] > w[3]
+    assert torus_flag_in_fk(flag_of_type(ft, EX43), EX43)
 
 
 def test_feasible_single_block():
     ft = FlagType.of([[0, 1, 2, 3]])
-    wit = feasible(ft, EX43)
+    wit = listed_witness(ft, EX43)
     assert wit == CocharacterWitness.of([0, 0])
+    assert torus_flag_in_fk(Flag.trivial(4), EX43)
+
+
+# the membership test as it was before F_K membership became a lookup in
+# enumerate_flag_types: decode the flag into a type, then decide that type's
+# feasibility on its own
+
+
+def reference_feasible(ft, k):
+    classes, _ = _class_columns(k)
+    covered = sorted(i for b in ft.ordered_blocks for i in b)
+    if covered != list(range(len(classes))):
+        raise ValueError("flag type must partition the weight classes")
+    c = _feasibility_witness(k, ft.ordered_blocks, ())
+    if c is None:
+        return None
+    wit = CocharacterWitness.of(c)
+    _verify_witness(ft, wit, k)
+    return wit
+
+
+def reference_flag_in_fk(f, k):
+    classes = weight_classes(k)
+    owner = {}
+    for ci, cls in enumerate(classes):
+        for coord in cls:
+            owner[coord] = ci
+    blocks = []
+    prev = set()
+    for s in f.chain:
+        coords = set()
+        for v in s.vectors():
+            nz = [j for j, x in enumerate(v) if x]
+            if len(nz) != 1 or v[nz[0]] != 1:
+                return False
+            coords.add(nz[0])
+        step = coords - prev
+        if not step or (prev - coords):
+            return False
+        blocks.append(step)
+        prev = coords
+    blocks.append(set(range(f.ambient_dim)) - prev)
+    class_blocks = []
+    for blk in blocks:
+        cls_ids = {owner[c] for c in blk}
+        if set().union(*(set(classes[ci]) for ci in cls_ids)) != blk:
+            return False
+        class_blocks.append(sorted(cls_ids))
+    try:
+        ft = FlagType.of(class_blocks)
+    except ValueError:
+        return False
+    return reference_feasible(ft, k) is not None
+
+
+def _random_torus(rng):
+    while True:
+        n = rng.randint(2, 6)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        try:
+            k = TorusK.of(n, rows)
+        except ValueError:
+            continue
+        if len(weight_classes(k)) <= 5:
+            return k
+
+
+def _coordinate_flag(n, ordered_blocks):
+    chain, coords = [], []
+    for block in ordered_blocks[:-1]:
+        coords.extend(block)
+        chain.append(Subspace.coordinate(n, coords))
+    return Flag(n, tuple(chain))
+
+
+def _random_ordered_partition(rng, items):
+    items = list(items)
+    rng.shuffle(items)
+    cuts = sorted(rng.sample(range(1, len(items)), rng.randint(0, len(items) - 1)))
+    return [items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])]
+
+
+def _random_flag(rng, n):
+    """A flag through random integer vectors: rarely a coordinate flag."""
+    while True:
+        vs = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+        dims = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+        chain = [Subspace.span(n, vs[:d]) for d in dims]
+        try:
+            return Flag(n, tuple(chain))
+        except ValueError:
+            continue
+
+
+def test_flag_in_fk_matches_decode_reference():
+    rng = random.Random(11)
+    counts = Counter()
+    for _ in range(40):
+        k = _random_torus(rng)
+        n = k.ambient_dim
+        classes = weight_classes(k)
+        listing = enumerate_flag_types(k)
+        flags = [flag_of_type(ft, k) for ft, _ in rng.sample(listing, min(len(listing), 8))]
+        for _ in range(6):
+            # unions of weight classes in a random order, F_K member or not
+            blocks = _random_ordered_partition(rng, range(len(classes)))
+            flags.append(_coordinate_flag(n, [[c for ci in b for c in classes[ci]] for b in blocks]))
+            # coordinate blocks that may split a weight class
+            flags.append(_coordinate_flag(n, _random_ordered_partition(rng, range(n))))
+            flags.append(_random_flag(rng, n))
+        for f in flags:
+            got = torus_flag_in_fk(f, k)
+            assert got == reference_flag_in_fk(f, k), (k, f)
+            counts[got] += 1
+    assert counts[True] > 100 and counts[False] > 100
 
 
 def test_fm_witness_simple():
