@@ -298,8 +298,10 @@ def g2_minimal_flag(u: Subspace, d: G2Data) -> Flag:
 
 
 def g2_flag_shape_ok(f: Flag, d: G2Data) -> bool:
-    """Shape test for membership in F_K for K of type G2 (minimal shapes):
-    the minimal flag through a doubly singular first member."""
+    """Shape test for membership in F_K for K of type G2, minimal flags only:
+    the minimal flag, dims (2, 5) or (1, 3, 4, 6), through a doubly singular
+    first member.  The full flags (dims 1..6) that also stem from K read
+    False, so a g2 certificate names minimal flags."""
     return (
         f.dims() in ((2, 5), (1, 3, 4, 6))
         and is_doubly_singular(f.chain[0], d)

@@ -1142,13 +1142,16 @@ def verify_certificate(h: GroupH, claim, k_kind: str, k_data) -> CertificateRepo
     coverage_ok = True
     detail = ""
     if k_kind == "torus":
-        from .toruscr import flag_of_type, minimal_flags
+        from .toruscr import _class_reach, _flag_stable, flag_of_type, minimal_flags
 
         coverage_checked = True
         claimed_firsts = {f1 for f1, _ in claim}
+        reach = _class_reach(h, k_data)
         for ft, _ in minimal_flags(k_data):
+            if not _flag_stable(reach, ft):
+                continue
             fl = flag_of_type(ft, k_data)
-            if is_stable(fl, h) and fl not in claimed_firsts:
+            if fl not in claimed_firsts:
                 coverage_ok = False
                 detail = f"H-stable minimal flag of dims {list(fl.dims())} not covered"
                 break

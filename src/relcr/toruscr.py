@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .exactlin import RatMatrix, Subspace, ZERO, kernel_basis, pivot_columns, rref
-from .flags import Flag, GradedDecomposition, GroupH, is_stable, subspace_is_stable
+from .exactlin import RatMatrix, Subspace, ZERO, kernel_basis, rref
+from .flags import Flag, GradedDecomposition, GroupH, subspace_is_stable
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -103,6 +104,7 @@ class CocharacterWitness:
         return tuple(out)
 
 
+@lru_cache(maxsize=1024)
 def weight_classes(k: TorusK) -> tuple:
     """Coordinates grouped by equal lattice columns, ordered by smallest
     member; 0-based coordinate indices."""
@@ -462,6 +464,59 @@ def common_refinement(ws: Sequence[Sequence[int]], require_compatible: bool = Tr
 
 
 # ---------------------------------------------------------------------------
+# stability of coordinate flags, read from the generators' zero pattern
+
+
+def _class_reach(h: GroupH, k: TorusK) -> tuple:
+    """For each weight class c, the bitmask of the classes class(i) over every
+    nonzero g[i][j] with j in c and g a generator: where g sends c's
+    coordinates."""
+    if h.ambient_dim != k.ambient_dim:
+        raise ValueError("group and torus ambient dimensions differ")
+    classes = weight_classes(k)
+    n = k.ambient_dim
+    bit = [0] * n
+    for ci, cls in enumerate(classes):
+        for i in cls:
+            bit[i] = 1 << ci
+    reach = []
+    for cls in classes:
+        mask = 0
+        for g in h.generators:
+            e = g.entries
+            for j in cls:
+                for i in range(n):
+                    if e[i * n + j]:
+                        mask |= bit[i]
+        reach.append(mask)
+    return tuple(reach)
+
+
+def _union_stable(reach: tuple, classes) -> bool:
+    """True iff the coordinates of the given classes span an H-stable
+    subspace.  g maps that coordinate span S into itself iff g[i][j] = 0 for
+    every j in S and i outside it, and an invertible g that maps S into S
+    maps it onto S."""
+    inside = reached = 0
+    for c in classes:
+        inside |= 1 << c
+        reached |= reach[c]
+    return not reached & ~inside
+
+
+def _flag_stable(reach: tuple, ft: FlagType) -> bool:
+    """True iff H stabilizes flag_of_type(ft, k): each leading block-union."""
+    inside = reached = 0
+    for block in ft.ordered_blocks[:-1]:
+        for c in block:
+            inside |= 1 << c
+            reached |= reach[c]
+        if reached & ~inside:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # the three checkers
 
 
@@ -480,10 +535,10 @@ def type_payload(ft: FlagType, k: TorusK, wit: Optional[CocharacterWitness] = No
     """A flag type as reported: its blocks of 1-based coordinates, the dims of
     its flag and, given a witness, the cocharacter and its weights."""
     classes = weight_classes(k)
-    blocks = [sorted(c + 1 for cls in b for c in classes[cls]) for b in ft.ordered_blocks]
+    blocks = [_block_coords(b, classes) for b in ft.ordered_blocks]
     out = {
         "blocks": blocks,
-        "dims": list(flag_of_type(ft, k).dims()),
+        "dims": list(accumulate(len(b) for b in blocks[:-1])),
     }
     if wit is not None:
         out["cocharacter"] = list(wit.coefficients)
@@ -491,33 +546,31 @@ def type_payload(ft: FlagType, k: TorusK, wit: Optional[CocharacterWitness] = No
     return out
 
 
-def _check_dims(h: GroupH, k: TorusK):
-    if h.ambient_dim != k.ambient_dim:
-        raise ValueError("group and torus ambient dimensions differ")
+def _block_coords(block, classes) -> list:
+    """The sorted 1-based coordinates of a block of class indices."""
+    return sorted(c + 1 for cls in block for c in classes[cls])
 
 
 def relcr_torus_definition(h: GroupH, k: TorusK) -> Verdict:
     """Definition-level criterion: for a torus K the unipotent radical of
     P_c(K) is trivial, so H must stabilize the weight-space decomposition of
     every feasible type whose flag it stabilizes."""
-    _check_dims(h, k)
+    reach = _class_reach(h, k)
     stable = []
     for ft, wit in enumerate_flag_types(k):
         if ft.is_trivial:
             continue
-        if not is_stable(flag_of_type(ft, k), h):
+        if not _flag_stable(reach, ft):
             continue
-        dec = pieces_of_type(ft, k)
-        for piece in dec.pieces:
-            if not subspace_is_stable(piece, h):
+        for block in ft.ordered_blocks:
+            if not _union_stable(reach, block):
                 return Verdict(
                     False,
                     "definition",
                     {
                         "violated": "graded_piece_not_stable",
                         "flag_type": type_payload(ft, k, wit),
-                        # pieces are coordinate spans: their pivots are their coordinates
-                        "unstable_piece_coords": sorted(j + 1 for j in pivot_columns(piece.basis)),
+                        "unstable_piece_coords": _block_coords(block, weight_classes(k)),
                     },
                 )
         stable.append(type_payload(ft, k, wit))
@@ -527,13 +580,13 @@ def relcr_torus_definition(h: GroupH, k: TorusK) -> Verdict:
 def relcr_torus_minimal(h: GroupH, k: TorusK) -> Verdict:
     """Minimal-flag criterion: every H-stable minimal flag must have its
     (unique, reversed-type) opposite within F_K stable as well."""
-    _check_dims(h, k)
+    reach = _class_reach(h, k)
     pairs = []
     for ft, wit in minimal_flags(k):
-        if not is_stable(flag_of_type(ft, k), h):
+        if not _flag_stable(reach, ft):
             continue
         opp = opposite_type(ft)
-        if not is_stable(flag_of_type(opp, k), h):
+        if not _flag_stable(reach, opp):
             return Verdict(
                 False,
                 "minimal",
@@ -551,12 +604,11 @@ def relcr_torus_levi(h: GroupH, k: TorusK) -> Verdict:
     """Levi criterion: H lies in the Levi of some feasible type and is
     relatively irreducible there, i.e. every feasible type with H-stable flag
     has weights constant on each block of the chosen type."""
-    _check_dims(h, k)
+    reach = _class_reach(h, k)
     listing = enumerate_flag_types(k)
-    hstable = [ft for ft, _ in listing if is_stable(flag_of_type(ft, k), h)]
+    hstable = [ft for ft, _ in listing if _flag_stable(reach, ft)]
     for ft, wit in listing:
-        dec = pieces_of_type(ft, k)
-        if not all(subspace_is_stable(p, h) for p in dec.pieces):
+        if not all(_union_stable(reach, block) for block in ft.ordered_blocks):
             continue
         if all(_constant_on_blocks(mu, ft) for mu in hstable):
             return Verdict(

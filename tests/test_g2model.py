@@ -32,7 +32,7 @@ from relcr.structcr import (
     perp,
     verify_certificate,
 )
-from relcr.toruscr import enumerate_flag_types, flag_of_type, minimal_flags
+from relcr.toruscr import enumerate_flag_types, flag_of_type, minimal_flags, opposite_type
 
 
 def coord(*idxs):
@@ -248,6 +248,23 @@ def test_torus_flag_patterns():
     assert patterns == {(2, 5), (1, 3, 4, 6), (1, 2, 3, 4, 5, 6)}
     minimal_patterns = {flag_of_type(ft, D.torus).dims() for ft, _ in minimal_flags(D.torus)}
     assert minimal_patterns == {(2, 5), (1, 3, 4, 6)}
+
+
+def test_certificate_flags_in_fk_are_minimal_only():
+    # g2 certificates name minimal flags: the full flags of the torus listing
+    # stem from K too, but read flag_in_fk false
+    listing = [ft for ft, _ in enumerate_flag_types(D.torus) if not ft.is_trivial]
+    minimal = {ft for ft, _ in minimal_flags(D.torus)}
+    claim = [(flag_of_type(ft, D.torus), flag_of_type(opposite_type(ft), D.torus)) for ft in listing]
+    rep = verify_certificate(GroupH.trivial(7), claim, "g2", D)
+    got = Counter((f.dims(), pr["flag_in_fk"], pr["opposite_in_fk"]) for (f, _), pr in zip(claim, rep.pair_reports))
+    assert got == {
+        ((1, 2, 3, 4, 5, 6), False, False): 12,
+        ((2, 5), True, True): 6,
+        ((1, 3, 4, 6), True, True): 6,
+    }
+    assert {ft for ft in listing if len(ft.ordered_blocks) < 7} == minimal
+    assert not rep.accepted
 
 
 def _pool_for(h):

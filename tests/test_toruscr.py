@@ -2,21 +2,26 @@ import functools
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relcr import exactlin, flags
 from relcr.corpus import diagonal_matrix, subspace_stabilizer
-from relcr.exactlin import Subspace
-from relcr.flags import Flag, GroupH, is_stable, verify_opposite
+from relcr.exactlin import RatMatrix, Subspace
+from relcr.flags import Flag, GroupH, is_stable, subspace_is_stable, verify_opposite
 from relcr.toruscr import (
     CocharacterWitness,
     FlagType,
     InternalInconsistencyError,
     TorusK,
     _class_columns,
+    _class_reach,
     _feasibility_witness,
+    _flag_stable,
+    _union_stable,
     _verify_witness,
     common_refinement,
     enumerate_flag_types,
@@ -25,6 +30,7 @@ from relcr.toruscr import (
     fm_witness,
     minimal_flags,
     opposite_type,
+    pieces_of_type,
     relcr_torus_crosscheck,
     relcr_torus_definition,
     relcr_torus_levi,
@@ -619,6 +625,121 @@ def test_crosscheck_agreement_random():
                 gens.append(m)
         h = GroupH(n, tuple(gens))
         relcr_torus_crosscheck(h, k)  # raises InternalInconsistencyError on disagreement
+
+
+# ---------------------------------------------------------------------------
+# stability read from the zero pattern on weight classes, against subspace algebra
+
+
+@st.composite
+def tori_with_wide_classes(draw):
+    """A torus of rank at most 3 on n <= 6 coordinates whose coordinates
+    share a few distinct lattice columns, so that classes hold several
+    coordinates.  Rows dependent on earlier ones are dropped."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(min(r + 1, n), n))
+    cols = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * r), min_size=m, max_size=m, unique=True))
+    owner = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    basis = []
+    for i in range(r):
+        row = [cols[owner[j]][i] for j in range(n)]
+        try:
+            TorusK.of(n, basis + [row])
+        except ValueError:
+            continue
+        basis.append(row)
+    return TorusK.of(n, basis)
+
+
+small_rats = st.one_of(st.integers(-2, 2), st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+@st.composite
+def invertible_generators(draw, k):
+    """An invertible matrix of one of four shapes: diagonal; block diagonal
+    on a partition of the coordinates, into unions of weight classes or at
+    random; a diagonal permuted inside each class, plus a few entries inside
+    one class and across classes; dense."""
+    n = k.ambient_dim
+    classes = weight_classes(k)
+    nonzero = small_rats.filter(bool)
+    while True:
+        kind = draw(st.sampled_from(("diagonal", "block", "sparse", "dense")))
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        if kind == "diagonal":
+            for i in range(n):
+                rows[i][i] = Fraction(draw(nonzero))
+        elif kind == "block":
+            if draw(st.booleans()):
+                shuffled = draw(st.permutations(classes))
+                order = [i for c in shuffled for i in c]
+                ends = list(accumulate(len(c) for c in shuffled))[:-1]
+            else:
+                order = draw(st.permutations(range(n)))
+                ends = list(range(1, n))
+            cuts = sorted(draw(st.sets(st.sampled_from(ends)))) if ends else []
+            for a, b in zip([0] + cuts, cuts + [n]):
+                for i in order[a:b]:
+                    for j in order[a:b]:
+                        rows[i][j] = Fraction(draw(small_rats))
+        elif kind == "sparse":
+            for c in classes:
+                for i, j in zip(c, draw(st.permutations(c))):
+                    rows[i][j] = Fraction(draw(nonzero))
+            cls = draw(st.sampled_from(classes))
+            extra = [(draw(st.sampled_from(cls)), draw(st.sampled_from(cls)))]
+            extra += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2))
+            for i, j in extra:
+                rows[i][j] = Fraction(draw(nonzero))
+        else:
+            rows = [[Fraction(draw(small_rats)) for _ in range(n)] for _ in range(n)]
+        g = RatMatrix.from_rows(rows)
+        if g.is_invertible():
+            return g
+
+
+@st.composite
+def torus_groups(draw):
+    k = draw(tori_with_wide_classes())
+    gens = draw(st.lists(invertible_generators(k), min_size=1, max_size=2))
+    return GroupH(k.ambient_dim, tuple(gens)), k
+
+
+@given(torus_groups())
+@settings(max_examples=150, deadline=None)
+def test_class_reach_stability_matches_subspace_algebra(hk):
+    h, k = hk
+    reach = _class_reach(h, k)
+    for ft, _ in enumerate_flag_types(k):
+        assert _flag_stable(reach, ft) == is_stable(flag_of_type(ft, k), h), ft
+        pieces = pieces_of_type(ft, k).pieces
+        for block, piece in zip(ft.ordered_blocks, pieces, strict=True):
+            assert _union_stable(reach, block) == subspace_is_stable(piece, h), (ft, block)
+
+
+def test_torus_checkers_do_no_subspace_algebra(monkeypatch):
+    # a regression to Subspace, Flag or image_under in the checker loops
+    # reaches the row reduction, which raises here
+    k = TorusK.of(5, [[1, 1, 0, 0, -1], [0, 0, 1, 1, -1]])
+    enumerate_flag_types(k)
+    minimal_flags(k)
+    groups = [
+        GroupH.of(5, [[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 2, 0], [0, 0, 1, 3, 0], [0, 0, 0, 0, 1]]]),
+        GroupH.of(5, [[[1, 0, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]]),
+        GroupH.trivial(5),
+    ]
+    expected = [relcr_torus_crosscheck(h, k) for h in groups]
+    assert [rep.relcr for rep in expected] == [True, False, True]
+
+    def no_row_reduction(m, pivot_limit):
+        raise AssertionError("row reduction inside a torus checker")
+
+    for cached in (flag_of_type, pieces_of_type, flags._stable_under, exactlin._is_invertible_cached):
+        cached.cache_clear()
+    monkeypatch.setattr(exactlin, "_row_reduce", no_row_reduction)
+    assert [relcr_torus_crosscheck(h, k) for h in groups] == expected
+    assert relcr_torus_definition(groups[1], k).witness["unstable_piece_coords"] == [3, 4]
 
 
 # ---------------------------------------------------------------------------
